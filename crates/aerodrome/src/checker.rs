@@ -37,7 +37,9 @@ pub struct AeroConfig {
     pub detect_cycles: bool,
     /// Which transactions to instrument.
     pub filter: TxFilter,
-    /// Graph-collector cadence in transaction begins (0 disables).
+    /// Minimum graph-collector cadence in transaction begins (0 disables).
+    /// Passes adapt: the next runs after `max(collect_every, survivors /
+    /// 2)` begins, so collector work stays linear in the transactions.
     pub collect_every: u32,
     /// Record per-join wall-clock latency into
     /// [`AeroStats::clock_join_latency`] (off by default: reading the
@@ -66,6 +68,10 @@ pub struct AeroStats {
     pub instrumented: AtomicU64,
     /// Transactions reclaimed.
     pub collected_txs: AtomicU64,
+    /// Collector passes run.
+    pub collect_passes: AtomicU64,
+    /// Graph slots the collector's passes scanned (its total work).
+    pub collect_scanned: AtomicU64,
     /// Latency of each edge's clock join (including its transitive
     /// propagation), recorded only when [`AeroConfig::time_joins`] is set.
     pub clock_join_latency: Histogram,
@@ -101,7 +107,6 @@ pub struct AeroDrome {
     meta: OnceLock<MetaTable>,
     clocks: Mutex<ClockGraph>,
     violations: Mutex<Vec<VViolation>>,
-    begins_since_collect: AtomicU32,
     stats: AeroStats,
 }
 
@@ -118,7 +123,6 @@ impl AeroDrome {
     /// Creates an AeroDrome checker for `n_threads` threads under `spec`.
     pub fn new(n_threads: usize, spec: AtomicitySpec, config: AeroConfig) -> Self {
         AeroDrome {
-            config,
             spec,
             slots: (0..n_threads)
                 .map(|_| Slot {
@@ -135,10 +139,10 @@ impl AeroDrome {
                 })
                 .collect(),
             meta: OnceLock::new(),
-            clocks: Mutex::new(ClockGraph::new(n_threads)),
+            clocks: Mutex::new(ClockGraph::paced(n_threads, config.collect_every)),
             violations: Mutex::new(Vec::new()),
-            begins_since_collect: AtomicU32::new(0),
             stats: AeroStats::default(),
+            config,
         }
     }
 
@@ -191,33 +195,28 @@ impl AeroDrome {
         local.seen_edge_events = slot.edge_events.load(Ordering::Acquire);
         let id = VTxId::new(t, local.seq);
         let prev = VTxId(slot.current_tx.load(Ordering::Acquire));
-        self.clocks.lock().begin(id, kind, prev);
+        {
+            let mut clocks = self.clocks.lock();
+            clocks.begin(id, kind, prev);
+            // The begin ticked the graph's collector pacer; a due pass runs
+            // under the same lock, rooted at each thread's newest
+            // transaction.
+            if clocks.collect_due() {
+                let collected = clocks.collect();
+                let stats = &self.stats;
+                stats
+                    .collected_txs
+                    .fetch_add(collected as u64, Ordering::Relaxed);
+                stats
+                    .collect_passes
+                    .store(clocks.collect_passes(), Ordering::Relaxed);
+                stats
+                    .collect_scanned
+                    .store(clocks.collect_scanned(), Ordering::Relaxed);
+            }
+        }
         slot.current_tx.store(id.0, Ordering::Release);
         self.stats.transactions.fetch_add(1, Ordering::Relaxed);
-        self.maybe_collect();
-    }
-
-    fn maybe_collect(&self) {
-        if self.config.collect_every == 0 {
-            return;
-        }
-        let n = self.begins_since_collect.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.config.collect_every
-            && self
-                .begins_since_collect
-                .compare_exchange(n, 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            let roots: Vec<VTxId> = self
-                .slots
-                .iter()
-                .map(|s| VTxId(s.current_tx.load(Ordering::Acquire)))
-                .collect();
-            let collected = self.clocks.lock().collect(roots);
-            self.stats
-                .collected_txs
-                .fetch_add(collected as u64, Ordering::Relaxed);
-        }
     }
 
     /// Unary-transaction merging: cut the current unary transaction if a

@@ -24,46 +24,26 @@
 //! Out-edge lists are retained for propagation, which also lets a detected
 //! cycle be reconstructed (Velodrome's DFS, run only on actual
 //! violations) so blame assignment is bit-comparable with the baseline.
+//! Records live in Velodrome's hash-free per-thread [`TxStore`], so a
+//! lookup is an index computation and the collector recycles clock slices.
 
 use dc_runtime::spec::TxKind;
-use dc_velodrome::{VTxId, VViolation};
-use std::collections::{HashMap, HashSet};
+use dc_velodrome::{Link, TxStore, VTxId, VViolation};
 use std::fmt;
 
 fn seq_of(id: VTxId) -> u64 {
     id.0 >> 16
 }
 
-struct Record {
-    kind: TxKind,
-    /// `clock[u]` = highest sequence number of thread `u` known to precede
-    /// this transaction (reflexive in the owner's component).
-    clock: Box<[u64]>,
-    out: Vec<VTxId>,
-    /// Orders of this node's earliest incoming/outgoing edges (for blame,
-    /// mirroring Velodrome's numbering exactly).
-    first_out: Option<u32>,
-    first_in: Option<u32>,
-}
-
-/// The clock-annotated dependence graph.
+/// The clock-annotated dependence graph: Velodrome's per-thread
+/// [`TxStore`] with a vector clock as each node's payload.
+/// `clock[u]` = highest sequence number of thread `u` known to precede the
+/// transaction (reflexive in the owner's component).
 pub struct ClockGraph {
     n_threads: usize,
-    records: HashMap<VTxId, Record>,
-    next_order: u32,
+    store: TxStore<Box<[u64]>>,
     scratch: Vec<u64>,
     work: Vec<(VTxId, VTxId)>,
-    /// Free list of `n_threads`-wide clock slices reclaimed by
-    /// [`ClockGraph::collect`]: steady state begins transactions without
-    /// allocating (the per-tx clock allocation costs what the linear-time
-    /// check saves).
-    free: Vec<Box<[u64]>>,
-    /// Pooled out-edge vectors, reclaimed alongside the clocks.
-    free_out: Vec<Vec<VTxId>>,
-    /// Collector scratch, reused across runs.
-    collect_marked: HashSet<VTxId>,
-    collect_work: Vec<VTxId>,
-    collect_dropped: Vec<VTxId>,
     /// Cross-thread dependence edges added.
     pub cross_edges: u64,
     /// Cycles detected.
@@ -77,26 +57,27 @@ pub struct ClockGraph {
 impl fmt::Debug for ClockGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClockGraph")
-            .field("records", &self.records.len())
+            .field("records", &self.store.len())
             .field("threads", &self.n_threads)
             .finish()
     }
 }
 
 impl ClockGraph {
-    /// Creates an empty graph for `n_threads` threads.
+    /// Creates an empty graph for `n_threads` threads (collection pacing
+    /// disabled).
     pub fn new(n_threads: usize) -> Self {
+        Self::paced(n_threads, 0)
+    }
+
+    /// Creates an empty graph whose collector is due after
+    /// `max(every, survivors / 2)` transaction begins (0 disables it).
+    pub fn paced(n_threads: usize, every: u32) -> Self {
         ClockGraph {
             n_threads,
-            records: HashMap::new(),
-            next_order: 0,
+            store: TxStore::new(every),
             scratch: Vec::new(),
             work: Vec::new(),
-            free: Vec::new(),
-            free_out: Vec::new(),
-            collect_marked: HashSet::new(),
-            collect_work: Vec::new(),
-            collect_dropped: Vec::new(),
             cross_edges: 0,
             cycles: 0,
             joins: 0,
@@ -106,46 +87,34 @@ impl ClockGraph {
 
     /// Live record count.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.store.len()
     }
 
     /// True if no records are live.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.store.is_empty()
     }
 
     /// Registers a new transaction: its clock starts as the program-order
     /// predecessor's clock (the predecessor is finished, so its clock is
-    /// final) advanced to its own sequence number.
+    /// final) advanced to its own sequence number. Nodes reclaimed by the
+    /// collector come back with their clock slices, so a warm begin
+    /// allocates nothing.
     pub fn begin(&mut self, id: VTxId, kind: TxKind, prev: VTxId) {
-        // Reuse a pooled slice when one is free; either branch overwrites
-        // every element, so stale pooled contents never leak through.
-        let mut clock: Box<[u64]> = self
-            .free
-            .pop()
-            .unwrap_or_else(|| vec![0; self.n_threads].into_boxed_slice());
-        match self.records.get(&prev) {
-            Some(p) if prev.is_some() => clock.copy_from_slice(&p.clock),
-            _ => clock.fill(0),
+        let n = self.n_threads;
+        self.scratch.clear();
+        match self.store.get(prev) {
+            Some(p) => self.scratch.extend_from_slice(&p.extra),
+            None => self.scratch.resize(n, 0),
         }
+        let clock = &mut self.store.begin(id, kind, prev).extra;
+        if clock.len() != n {
+            *clock = vec![0; n].into_boxed_slice();
+        }
+        clock.copy_from_slice(&self.scratch);
         let t = id.thread().index();
-        if t < clock.len() {
+        if t < n {
             clock[t] = seq_of(id);
-        }
-        self.records.insert(
-            id,
-            Record {
-                kind,
-                clock,
-                out: self.free_out.pop().unwrap_or_default(),
-                first_out: None,
-                first_in: None,
-            },
-        );
-        if prev.is_some() {
-            if let Some(p) = self.records.get_mut(&prev) {
-                p.out.push(id);
-            }
         }
     }
 
@@ -159,27 +128,9 @@ impl ClockGraph {
         dst: VTxId,
         detect_cycles: bool,
     ) -> Option<VViolation> {
-        if src == dst || !src.is_some() || !dst.is_some() {
-            return None;
+        if self.store.link(src, dst) != Link::Added {
+            return None; // duplicate edges cannot close a new cycle
         }
-        if !self.records.contains_key(&src) || !self.records.contains_key(&dst) {
-            return None;
-        }
-        let order = self.next_order;
-        self.next_order += 1;
-        {
-            let s = self.records.get_mut(&src).expect("src exists");
-            if s.out.contains(&dst) {
-                return None; // duplicate edge: no new cycle possible
-            }
-            s.out.push(dst);
-            s.first_out.get_or_insert(order);
-        }
-        self.records
-            .get_mut(&dst)
-            .expect("dst exists")
-            .first_in
-            .get_or_insert(order);
         self.cross_edges += 1;
         // O(1) cycle test: dst is an ancestor of src iff src's clock
         // already covers dst's thread at or past dst's sequence number
@@ -187,16 +138,18 @@ impl ClockGraph {
         // could account for the component).
         let dt = dst.thread().index();
         let cyclic = {
-            let s = &self.records[&src];
-            dt < s.clock.len() && s.clock[dt] >= seq_of(dst)
+            let s = &self.store.get(src).expect("linked source is live").extra;
+            dt < s.len() && s[dt] >= seq_of(dst)
         };
         self.join_and_propagate(src, dst);
         if !(detect_cycles && cyclic) {
             return None;
         }
         self.cycles += 1;
-        let cycle = self.find_cycle(src, dst)?;
-        Some(self.report(cycle))
+        // Only runs on a confirmed violation: Velodrome's own search, so
+        // the reconstructed cycle (and hence blame) is identical.
+        let cycle = self.store.find_cycle(src, dst)?;
+        Some(self.store.report(&cycle))
     }
 
     /// Joins `from`'s clock into `to`, then propagates any growth along
@@ -209,18 +162,18 @@ impl ClockGraph {
         work.push((src, dst));
         let mut direct = true;
         while let Some((from, to)) = work.pop() {
-            let Some(f) = self.records.get(&from) else {
+            let Some(f) = self.store.get(from) else {
                 direct = false;
                 continue;
             };
             scratch.clear();
-            scratch.extend_from_slice(&f.clock);
-            let Some(t) = self.records.get_mut(&to) else {
+            scratch.extend_from_slice(&f.extra);
+            let Some(t) = self.store.get_mut(to) else {
                 direct = false;
                 continue;
             };
             let mut changed = false;
-            for (slot, &v) in t.clock.iter_mut().zip(scratch.iter()) {
+            for (slot, &v) in t.extra.iter_mut().zip(scratch.iter()) {
                 if v > *slot {
                     *slot = v;
                     changed = true;
@@ -232,114 +185,36 @@ impl ClockGraph {
             }
             direct = false;
             if changed {
-                let t = &self.records[&to];
-                for &next in &t.out {
-                    work.push((to, next));
-                }
+                work.extend(t.out().iter().map(|&next| (to, next)));
             }
         }
         self.scratch = scratch;
         self.work = work;
     }
 
-    /// Path from `dst` back to `src` (the cycle closed by edge src→dst).
-    /// Only runs on a confirmed violation; mirrors Velodrome's DFS so the
-    /// reconstructed cycle (and hence blame) is identical.
-    fn find_cycle(&self, src: VTxId, dst: VTxId) -> Option<Vec<VTxId>> {
-        let mut stack = vec![dst];
-        let mut visited: HashSet<VTxId> = [dst].into_iter().collect();
-        let mut parent: HashMap<VTxId, VTxId> = HashMap::new();
-        while let Some(v) = stack.pop() {
-            if v == src {
-                let mut path = vec![v];
-                let mut cur = v;
-                while cur != dst {
-                    cur = parent[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path); // dst … src
-            }
-            if let Some(node) = self.records.get(&v) {
-                for &w in &node.out {
-                    if self.records.contains_key(&w) && visited.insert(w) {
-                        parent.insert(w, v);
-                        stack.push(w);
-                    }
-                }
-            }
-        }
-        None
+    /// True when enough transactions began since the last collection for
+    /// another pass to pay for itself.
+    pub fn collect_due(&self) -> bool {
+        self.store.collect_due()
     }
 
-    fn report(&self, cycle: Vec<VTxId>) -> VViolation {
-        let members: Vec<(VTxId, TxKind)> = cycle
-            .iter()
-            .map(|&tx| (tx, self.records[&tx].kind))
-            .collect();
-        // Blame: first outgoing edge earlier than first incoming edge.
-        let mut blamed: Vec<_> = members
-            .iter()
-            .filter(|(tx, _)| {
-                let n = &self.records[tx];
-                matches!((n.first_out, n.first_in), (Some(o), Some(i)) if o < i)
-            })
-            .filter_map(|(_, k)| k.method())
-            .collect();
-        if blamed.is_empty() {
-            blamed = members.iter().filter_map(|(_, k)| k.method()).collect();
-        }
-        blamed.sort();
-        blamed.dedup();
-        VViolation {
-            cycle: members,
-            blamed_methods: blamed,
-        }
-    }
-
-    /// Reclaims transactions unreachable from the roots (current
-    /// transactions) via outgoing edges. Returns the number collected.
+    /// Reclaims transactions unreachable via outgoing edges from every
+    /// thread's newest (current) transaction. Returns the number collected.
     /// Sound for the clock invariant: every in-edge terminates at a
     /// currently-live transaction, so anything reachable from the roots —
     /// everything a future join could touch — stays resident.
-    pub fn collect(&mut self, roots: impl IntoIterator<Item = VTxId>) -> usize {
-        let mut marked = std::mem::take(&mut self.collect_marked);
-        let mut work = std::mem::take(&mut self.collect_work);
-        marked.clear();
-        work.clear();
-        for r in roots {
-            if r.is_some() && marked.insert(r) {
-                work.push(r);
-            }
-        }
-        while let Some(id) = work.pop() {
-            if let Some(node) = self.records.get(&id) {
-                for &w in &node.out {
-                    if marked.insert(w) {
-                        work.push(w);
-                    }
-                }
-            }
-        }
-        let before = self.records.len();
-        // Remove unmarked records by hand (rather than `retain`) so their
-        // clock slices and out-edge vectors land on the free lists for
-        // reuse by `begin` — a warm collect run allocates nothing.
-        let mut dropped = std::mem::take(&mut self.collect_dropped);
-        dropped.clear();
-        dropped.extend(self.records.keys().filter(|id| !marked.contains(id)));
-        for &id in &dropped {
-            if let Some(rec) = self.records.remove(&id) {
-                self.free.push(rec.clock);
-                let mut out = rec.out;
-                out.clear();
-                self.free_out.push(out);
-            }
-        }
-        self.collect_marked = marked;
-        self.collect_work = work;
-        self.collect_dropped = dropped;
-        before - self.records.len()
+    pub fn collect(&mut self) -> usize {
+        self.store.collect()
+    }
+
+    /// Collector passes run so far.
+    pub fn collect_passes(&self) -> u64 {
+        self.store.collect_passes()
+    }
+
+    /// Window slots the collector's passes scanned so far.
+    pub fn collect_scanned(&self) -> u64 {
+        self.store.collect_scanned()
     }
 }
 
@@ -438,7 +313,7 @@ mod tests {
         let a2 = VTxId::new(T0, 2);
         g.begin(a1, reg(0), VTxId::NONE);
         g.begin(a2, reg(0), a1);
-        assert_eq!(g.collect([a2]), 1);
+        assert_eq!(g.collect(), 1);
         assert_eq!(g.len(), 1);
         assert!(g.add_cross_edge(a1, a2, true).is_none());
     }

@@ -67,7 +67,7 @@ fn round(g: &mut ClockGraph, seq: u64) -> [VTxId; THREADS] {
         g.add_cross_edge(cur[0], cur[1], true).is_none(),
         "a forward edge between fresh transactions never closes a cycle"
     );
-    g.collect(cur);
+    g.collect();
     cur
 }
 

@@ -431,6 +431,8 @@ impl DoubleChecker {
             unary_accesses: icd.unary_accesses.load(Ordering::Relaxed),
             log_entries: icd.log_entries.load(Ordering::Relaxed),
             collected_txs: icd.collected_txs.load(Ordering::Relaxed),
+            collect_passes: icd.collect_passes.load(Ordering::Relaxed),
+            collect_scanned: icd.collect_scanned.load(Ordering::Relaxed),
             idg_cross_edges: self.icd.cross_edges(),
             icd_sccs: self.icd.scc_count(),
             sccs_to_pcd: self.sccs_to_pcd.load(Ordering::Relaxed),

@@ -26,6 +26,10 @@ pub struct DcStats {
     pub log_entries: u64,
     /// Transactions reclaimed by the collector.
     pub collected_txs: u64,
+    /// Collector passes run.
+    pub collect_passes: u64,
+    /// IDG slots the collector's passes scanned (its total work).
+    pub collect_scanned: u64,
     /// Cross-thread IDG edges.
     pub idg_cross_edges: u64,
     /// ICD SCCs detected.
@@ -48,6 +52,8 @@ impl From<DcStats> for Value {
             "unary_accesses": s.unary_accesses,
             "log_entries": s.log_entries,
             "collected_txs": s.collected_txs,
+            "collect_passes": s.collect_passes,
+            "collect_scanned": s.collect_scanned,
             "idg_cross_edges": s.idg_cross_edges,
             "icd_sccs": s.icd_sccs,
             "sccs_to_pcd": s.sccs_to_pcd,

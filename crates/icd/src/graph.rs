@@ -40,6 +40,7 @@ use crate::types::{
     Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot,
 };
 use dc_runtime::ids::ThreadId;
+use dc_runtime::pacer::CollectPacer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -205,12 +206,29 @@ pub struct Graph {
     empty_log: Arc<Vec<LogEntry>>,
     tarjan: TarjanScratch,
     mark: MarkScratch,
+    /// Collector cadence, counted in transaction finishes. Travels with
+    /// the graph, so whichever lock or owner thread guards the graph also
+    /// guards its pacing.
+    pacer: CollectPacer,
 }
 
 impl Graph {
-    /// Creates an empty graph.
+    /// Creates an empty graph (collection pacing disabled).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sets the collector cadence: [`Graph::collect_due`] turns true after
+    /// `max(every, survivors / 2)` finishes (0 disables pacing).
+    pub fn paced(mut self, every: u32) -> Self {
+        self.pacer = CollectPacer::new(every);
+        self
+    }
+
+    /// True when enough transactions finished since the last
+    /// [`Graph::collect`] for another pass to pay for itself.
+    pub fn collect_due(&self) -> bool {
+        self.pacer.due()
     }
 
     /// Creates an empty graph sharing an existing counter cell. Shard
@@ -348,6 +366,7 @@ impl Graph {
             return Err(FinishError::AlreadyFinished(id));
         }
         node.finished = true;
+        self.pacer.tick();
         node.final_len = u32::try_from(log.len()).expect("log too long");
         // Share the one empty log instead of allocating an `Arc` per finish:
         // with logging off (first run of multi-run mode) every finish takes
@@ -582,7 +601,9 @@ impl Graph {
 
     /// Drops finished transactions unreachable from the roots via outgoing
     /// edges (the JVM-reachability semantics the paper relies on), pushing
-    /// their slots onto the free list. Returns the number collected.
+    /// their slots onto the free list, and restarts the pacer from the
+    /// survivor count. Returns the number collected. The pass scans every
+    /// slab slot ([`Graph::slab_len`]).
     pub fn collect(&mut self, roots: impl IntoIterator<Item = TxId>) -> usize {
         // Forward BFS from the roots over out-edges. Unfinished transactions
         // are roots too (each is some thread's current transaction). The
@@ -632,6 +653,7 @@ impl Graph {
             }
         }
         self.mark = m;
+        self.pacer.after_collect(self.len());
         collected
     }
 }

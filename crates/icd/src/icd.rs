@@ -40,8 +40,9 @@ pub struct IcdConfig {
     /// multi-run mode). The first run of multi-run mode turns this off —
     /// that is its entire performance advantage (§3.1).
     pub logging: bool,
-    /// Run the transaction collector every this many transaction ends
-    /// (0 disables collection).
+    /// Minimum transaction-collector cadence in transaction ends (0
+    /// disables collection). Passes adapt: the next runs after
+    /// `max(collect_every, survivors / 2)` ends.
     pub collect_every: u32,
     /// Detect SCCs when transactions end. Disabled for the §5.4
     /// array-overhead comparison and the PCD-only variant.
@@ -88,17 +89,16 @@ pub struct IcdStats {
     pub log_entries: AtomicU64,
     /// Transactions reclaimed by the collector.
     pub collected_txs: AtomicU64,
+    /// Collector passes run (deterministic under the det engine in `Sync`
+    /// mode: pacing depends only on the transaction stream).
+    pub collect_passes: AtomicU64,
+    /// Graph slots the collector's passes scanned — its total work, which
+    /// adaptive pacing keeps linear in the number of transactions.
+    pub collect_scanned: AtomicU64,
     /// Hot-path graph-mutex acquisitions by application threads (transaction
     /// lifecycle, edge procedures, the collector). Zero in
     /// [`PipelineMode::Pipelined`] — the pipeline's acceptance counter.
     pub graph_locks: AtomicU64,
-}
-
-/// True when `DC_DEBUG_COLLECT` was set at first use (read once, not per
-/// collection pass).
-pub(crate) fn debug_collect() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("DC_DEBUG_COLLECT").is_some())
 }
 
 /// One thread's cross-thread-visible registers. Padded so coordination
@@ -213,11 +213,6 @@ pub struct Icd {
     counters: Arc<GraphCounters>,
     pipeline: Option<PipelineHandle>,
     next_tx: AtomicU64,
-    ends_since_collect: AtomicU32,
-    /// Adaptive collection threshold: at least `config.collect_every`, and
-    /// at least half the live-graph size after the last collection, so scan
-    /// cost stays amortized-linear even when nothing is collectable.
-    collect_threshold: AtomicU32,
     config: IcdConfig,
     stats: Arc<IcdStats>,
     obs: Option<Arc<PipelineObs>>,
@@ -271,7 +266,9 @@ impl Icd {
             threads: (0..n_threads).map(|_| ThreadRegs::default()).collect(),
         });
         let stats = Arc::new(IcdStats::default());
-        let graph = Graph::new();
+        // The graph carries its own collector pacing (counted in finishes),
+        // so the pacer sits under whichever mutex or owner thread holds it.
+        let graph = Graph::new().paced(config.collect_every);
         let counters = graph.counters();
         let (graph, pipeline) = match config.pipeline {
             PipelineMode::Sync => (graph, None),
@@ -295,8 +292,6 @@ impl Icd {
             counters,
             pipeline,
             next_tx: AtomicU64::new(1),
-            ends_since_collect: AtomicU32::new(0),
-            collect_threshold: AtomicU32::new(config.collect_every.max(1)),
             config,
             stats,
             obs,
@@ -574,54 +569,25 @@ impl Icd {
         } else {
             None
         };
-        drop(graph);
-        if self.config.collect_every > 0 {
-            let n = self.ends_since_collect.fetch_add(1, Ordering::Relaxed) + 1;
-            if n >= self.collect_threshold.load(Ordering::Relaxed)
-                && self
-                    .ends_since_collect
-                    .compare_exchange(n, 0, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.run_collector();
-            }
+        // The finish above ticked the graph's pacer; a due pass runs in the
+        // same critical section, so pacing and roots are read under the
+        // lock every mutation takes.
+        if graph.collect_due() {
+            self.run_collector(&mut graph);
         }
         report
     }
 
-    fn run_collector(&self) {
-        let t_dbg = debug_collect().then(std::time::Instant::now);
-        let t_obs = self.obs.as_ref().and_then(|o| o.clock());
-        let mut roots: Vec<TxId> = Vec::with_capacity(self.regs.threads.len() * 2 + 1);
-        for regs in self.regs.threads.iter() {
-            roots.push(TxId(regs.current_tx.load(Ordering::Acquire)));
-            roots.push(TxId(regs.last_rd_ex.load(Ordering::Acquire)));
-        }
-        let mut graph = self.lock_graph();
-        let g = graph.g_last_rd_sh;
-        roots.push(g);
-        let live = graph.len();
-        let collected = graph.collect(roots);
-        let survivors = graph.len();
-        drop(graph);
-        let next = self
-            .config
-            .collect_every
-            .max(u32::try_from(survivors / 2).unwrap_or(u32::MAX));
-        self.collect_threshold.store(next, Ordering::Relaxed);
-        if let Some(t0) = t_dbg {
-            eprintln!(
-                "[collector] live {live} collected {collected} in {:?}",
-                t0.elapsed()
-            );
-        }
-        self.stats
-            .collected_txs
-            .fetch_add(collected as u64, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.graph.collect_latency.record_elapsed(t_obs);
-            obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
-        }
+    /// One synchronous collector pass, rooted at every thread's registers.
+    #[cold]
+    fn run_collector(&self, graph: &mut Graph) {
+        let roots = self.regs.threads.iter().flat_map(|r| {
+            [
+                TxId(r.current_tx.load(Ordering::Acquire)),
+                TxId(r.last_rd_ex.load(Ordering::Acquire)),
+            ]
+        });
+        crate::pipeline::collect_pass(graph, roots, &self.stats, self.obs.as_deref());
     }
 
     // ----- access instrumentation ------------------------------------------

@@ -551,50 +551,6 @@ impl Drop for PipelineHandle {
     }
 }
 
-/// Collection pacing for the graph owner: counts transaction ends toward an
-/// adaptive threshold. With collection disabled (`every == 0`) it counts
-/// nothing — the counter used to increment unconditionally and overflow
-/// `u32` on long soak runs (debug builds panicked after 2³² ends).
-pub(crate) struct CollectPacer {
-    every: u32,
-    ends: u32,
-    threshold: u32,
-}
-
-impl CollectPacer {
-    pub(crate) fn new(every: u32) -> Self {
-        CollectPacer {
-            every,
-            ends: 0,
-            threshold: every.max(1),
-        }
-    }
-
-    /// Counts one transaction end (saturating: a threshold of `u32::MAX`
-    /// must still trigger rather than wrap).
-    pub(crate) fn on_finish(&mut self) {
-        if self.every == 0 {
-            return;
-        }
-        self.ends = self.ends.saturating_add(1);
-    }
-
-    /// True when enough ends accumulated for a collection pass.
-    pub(crate) fn due(&self) -> bool {
-        self.every > 0 && self.ends >= self.threshold
-    }
-
-    /// Resets after a pass: next threshold is the configured cadence or
-    /// half the survivor count, whichever is larger (collecting a mostly
-    /// live graph is wasted work).
-    pub(crate) fn after_collect(&mut self, survivors: usize) {
-        self.ends = 0;
-        self.threshold = self
-            .every
-            .max(u32::try_from(survivors / 2).unwrap_or(u32::MAX));
-    }
-}
-
 /// Ticket-indexed circular scoreboard holding out-of-order arrivals. The
 /// occupied window is always `[next, next + capacity)`, so slot `ticket %
 /// capacity` is unambiguous; the board doubles (rare, warm-up only) when an
@@ -701,7 +657,6 @@ fn owner_loop(
     let mut reorder = Reorder::with_capacity(REORDER_CAPACITY);
     let mut shutdown_at: Option<u64> = None;
     let mut error: Option<PipelineError> = None;
-    let mut pacer = CollectPacer::new(config.collect_every);
     // Collector root scratch, retained across passes.
     let mut roots: Vec<TxId> = Vec::new();
     // `recv` returning `None` (channel transport only: every sender dropped
@@ -733,9 +688,6 @@ fn owner_loop(
             let Some(op) = reorder.pop_next() else {
                 break;
             };
-            if matches!(op, GraphOp::Finish { .. }) {
-                pacer.on_finish();
-            }
             let t0 = obs.as_ref().and_then(|o| o.clock());
             let applied = apply(&mut graph, &config, sink.as_ref(), obs.as_deref(), op);
             if let Some(obs) = &obs {
@@ -760,12 +712,11 @@ fn owner_loop(
         // Collect only between contiguous runs, when the scoreboard is
         // exactly the out-of-order tail: its referenced transactions become
         // extra roots, so nothing a buffered op still needs is reclaimed.
-        if error.is_none() && pacer.due() {
+        if error.is_none() && graph.collect_due() {
             run_collect(
                 &mut graph,
                 &regs,
                 &stats,
-                &mut pacer,
                 Some(&reorder),
                 &mut roots,
                 obs.as_deref(),
@@ -921,7 +872,7 @@ fn resolve_src_pos(graph: &Graph, snap: &PosSnapshot, tx: TxId) -> Option<u32> {
     Some(if current == tx.0 { len } else { node.final_len })
 }
 
-/// The owner-side collector: same register roots and adaptive threshold as
+/// The owner-side collector: same register roots and adaptive pacing as
 /// the synchronous [`crate::Icd`] collector, minus the lock — plus every
 /// transaction referenced by a scoreboard-buffered (received, unapplied) op.
 ///
@@ -937,22 +888,18 @@ pub(crate) fn run_collect(
     graph: &mut Graph,
     regs: &Registers,
     stats: &IcdStats,
-    pacer: &mut CollectPacer,
     reorder: Option<&Reorder>,
     roots: &mut Vec<TxId>,
     obs: Option<&PipelineObs>,
 ) {
-    let t_dbg = crate::icd::debug_collect().then(std::time::Instant::now);
-    let t_obs = obs.and_then(|o| o.clock());
     roots.clear();
     for tr in regs.threads.iter() {
         roots.push(TxId(tr.current_tx.load(Ordering::Acquire)));
         roots.push(TxId(tr.last_rd_ex.load(Ordering::Acquire)));
     }
-    roots.push(graph.g_last_rd_sh);
     // Shard owners pass `None`: they have no scoreboard (the router applies
     // strict ticket order before routing), and the in-flight safety
-    // argument below covers ops still in their rings.
+    // argument above covers ops still in their rings.
     for op in reorder.map(Reorder::iter).into_iter().flatten() {
         match *op {
             GraphOp::Insert { id, prev, .. } => {
@@ -973,18 +920,29 @@ pub(crate) fn run_collect(
             GraphOp::Fence { cur, .. } => roots.push(cur),
         }
     }
-    let live = graph.len();
-    let collected = graph.collect(roots.iter().copied());
-    pacer.after_collect(graph.len());
-    if let Some(t0) = t_dbg {
-        eprintln!(
-            "[collector:pipeline] live {live} collected {collected} in {:?}",
-            t0.elapsed()
-        );
-    }
+    collect_pass(graph, roots.iter().copied(), stats, obs);
+}
+
+/// One collector pass from `roots` plus `gLastRdSh`, shared by every graph
+/// holder (the synchronous path under its mutex, the owner, each shard).
+/// Counts the pass and the slab slots it scanned into `stats`.
+pub(crate) fn collect_pass(
+    graph: &mut Graph,
+    roots: impl IntoIterator<Item = TxId>,
+    stats: &IcdStats,
+    obs: Option<&PipelineObs>,
+) {
+    let t_obs = obs.and_then(|o| o.clock());
+    let scanned = graph.slab_len();
+    let g_last_rd_sh = graph.g_last_rd_sh;
+    let collected = graph.collect(roots.into_iter().chain([g_last_rd_sh]));
     stats
         .collected_txs
         .fetch_add(collected as u64, Ordering::Relaxed);
+    stats.collect_passes.fetch_add(1, Ordering::Relaxed);
+    stats
+        .collect_scanned
+        .fetch_add(scanned as u64, Ordering::Relaxed);
     if let Some(obs) = obs {
         obs.graph.collect_latency.record_elapsed(t_obs);
         obs.trace(Stage::Graph, EventKind::CollectRun, collected as u64);
@@ -1011,46 +969,6 @@ mod tests {
             dst_thread: ThreadId(1),
             dst_pos: 0,
         }
-    }
-
-    #[test]
-    fn pacer_with_collection_disabled_never_counts_or_wraps() {
-        let mut p = CollectPacer::new(0);
-        // Regression for the unconditional `ends_since_collect += 1`: force
-        // the counter to the wrap boundary and drive more ends through it.
-        p.ends = u32::MAX - 1;
-        for _ in 0..8 {
-            p.on_finish(); // old code: debug overflow panic on the 2nd call
-            assert!(!p.due());
-        }
-        assert_eq!(p.ends, u32::MAX - 1, "disabled pacer must not count");
-    }
-
-    #[test]
-    fn pacer_saturates_at_a_maximal_threshold_instead_of_wrapping() {
-        let mut p = CollectPacer::new(1);
-        p.threshold = u32::MAX;
-        p.ends = u32::MAX - 1;
-        assert!(!p.due());
-        p.on_finish();
-        assert!(p.due());
-        p.on_finish(); // would wrap (and panic in debug) without saturation
-        assert_eq!(p.ends, u32::MAX);
-        assert!(p.due());
-    }
-
-    #[test]
-    fn pacer_threshold_adapts_to_survivors() {
-        let mut p = CollectPacer::new(4);
-        for _ in 0..4 {
-            p.on_finish();
-        }
-        assert!(p.due());
-        p.after_collect(100);
-        assert_eq!(p.threshold, 50);
-        assert!(!p.due());
-        p.after_collect(0);
-        assert_eq!(p.threshold, 4);
     }
 
     #[test]

@@ -51,8 +51,8 @@
 use crate::graph::Graph;
 use crate::icd::{IcdConfig, IcdStats, Registers};
 use crate::pipeline::{
-    apply, run_collect, BatchPool, CollectPacer, GraphOp, Msg, PipelineError, Reorder, RxPort,
-    SccSink, REORDER_CAPACITY,
+    apply, run_collect, BatchPool, GraphOp, Msg, PipelineError, Reorder, RxPort, SccSink,
+    REORDER_CAPACITY,
 };
 use crate::ring::OpRing;
 use crate::types::TxId;
@@ -212,9 +212,9 @@ pub(crate) fn router_loop(
         .map(|idx| {
             let ring = Arc::new(OpRing::<ShardMsg>::with_capacity(SHARD_RING_CAPACITY));
             let shard_ring = Arc::clone(&ring);
-            let graph = seed
-                .take()
-                .unwrap_or_else(|| Graph::with_counters(Arc::clone(&counters)));
+            let graph = seed.take().unwrap_or_else(|| {
+                Graph::with_counters(Arc::clone(&counters)).paced(config.collect_every)
+            });
             let regs = Arc::clone(&regs);
             let stats = Arc::clone(&stats);
             let sink = sink.clone();
@@ -372,15 +372,11 @@ fn shard_loop(
     sink: Option<Arc<SccSink>>,
     obs: Option<Arc<PipelineObs>>,
 ) -> (Graph, Option<PipelineError>) {
-    let mut pacer = CollectPacer::new(config.collect_every);
     let mut roots: Vec<TxId> = Vec::new();
     let mut error: Option<PipelineError> = None;
     loop {
         match ring.recv() {
             ShardMsg::Op(op) => {
-                if matches!(op, GraphOp::Finish { .. }) {
-                    pacer.on_finish();
-                }
                 let t0 = obs.as_ref().and_then(|o| o.clock());
                 let applied = if error.is_none() {
                     apply(&mut graph, &config, sink.as_deref(), obs.as_deref(), op)
@@ -402,25 +398,17 @@ fn shard_loop(
                 // No scoreboard here: the router already restored ticket
                 // order, so only ring-buffered (in-flight) ops need the
                 // collector's in-flight safety argument.
-                if error.is_none() && pacer.due() {
-                    run_collect(
-                        &mut graph,
-                        &regs,
-                        &stats,
-                        &mut pacer,
-                        None,
-                        &mut roots,
-                        obs.as_deref(),
-                    );
+                if error.is_none() && graph.collect_due() {
+                    run_collect(&mut graph, &regs, &stats, None, &mut roots, obs.as_deref());
                 }
             }
             ShardMsg::Extract { reply } => {
                 let counters = graph.counters();
-                let drained = std::mem::replace(&mut graph, Graph::with_counters(counters));
-                let _ = reply.send(drained);
                 // Fresh graph, fresh pacing: the survivor inherits the
                 // drained transactions and their collection debt.
-                pacer = CollectPacer::new(config.collect_every);
+                let fresh = Graph::with_counters(counters).paced(config.collect_every);
+                let drained = std::mem::replace(&mut graph, fresh);
+                let _ = reply.send(drained);
             }
             ShardMsg::Inject(other) => graph.absorb(*other),
             ShardMsg::Shutdown => break,

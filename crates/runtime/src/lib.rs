@@ -14,7 +14,9 @@
 //!   [`engine::det::run_det`] (deterministic interleavings, for tests and
 //!   the paper's worked examples),
 //! * [`spec::AtomicitySpec`] and [`spec::TxTracker`] — atomicity
-//!   specifications and transaction demarcation shared by all checkers.
+//!   specifications and transaction demarcation shared by all checkers,
+//! * [`pacer::CollectPacer`] — the adaptive collector cadence every
+//!   checker's transaction graph shares.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod engine;
 pub mod heap;
 pub mod ids;
 pub mod interp;
+pub mod pacer;
 pub mod program;
 pub mod spec;
 pub mod trace;
@@ -53,6 +56,7 @@ pub use engine::real::run_real;
 pub use engine::RunStats;
 pub use heap::{Heap, ObjKind};
 pub use ids::{AccessKind, CellId, MethodId, ObjId, ThreadId, SYNC_CELL};
+pub use pacer::CollectPacer;
 pub use program::{Method, Op, Program, ProgramBuilder, ProgramError, StartMode, ThreadSpec};
 pub use spec::{AtomicitySpec, EnterOutcome, ExitOutcome, TxFilter, TxKind, TxTracker};
 pub use trace::{PerThreadTrace, Tee, TraceChecker, TraceEvent};

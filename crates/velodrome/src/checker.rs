@@ -46,7 +46,9 @@ pub struct VelodromeConfig {
     /// Which transactions to instrument (all in normal operation; a method
     /// subset when used as the second run of multi-run mode).
     pub filter: TxFilter,
-    /// Graph-collector cadence in transaction begins (0 disables).
+    /// Minimum graph-collector cadence in transaction begins (0 disables).
+    /// Passes adapt: the next runs after `max(collect_every, survivors /
+    /// 2)` begins, so collector work stays linear in the transactions.
     pub collect_every: u32,
 }
 
@@ -73,6 +75,10 @@ pub struct VelodromeStats {
     pub skipped_unsound: AtomicU64,
     /// Transactions reclaimed.
     pub collected_txs: AtomicU64,
+    /// Collector passes run.
+    pub collect_passes: AtomicU64,
+    /// Graph slots the collector's passes scanned (its total work).
+    pub collect_scanned: AtomicU64,
 }
 
 struct Local {
@@ -106,7 +112,6 @@ pub struct Velodrome {
     meta: OnceLock<MetaTable>,
     graph: Mutex<VGraph>,
     violations: Mutex<Vec<VViolation>>,
-    begins_since_collect: AtomicU32,
     stats: VelodromeStats,
 }
 
@@ -123,7 +128,6 @@ impl Velodrome {
     /// Creates a Velodrome checker for `n_threads` threads under `spec`.
     pub fn new(n_threads: usize, spec: AtomicitySpec, config: VelodromeConfig) -> Self {
         Velodrome {
-            config,
             spec,
             slots: (0..n_threads)
                 .map(|_| Slot {
@@ -141,10 +145,10 @@ impl Velodrome {
                 })
                 .collect(),
             meta: OnceLock::new(),
-            graph: Mutex::new(VGraph::new()),
+            graph: Mutex::new(VGraph::paced(config.collect_every)),
             violations: Mutex::new(Vec::new()),
-            begins_since_collect: AtomicU32::new(0),
             stats: VelodromeStats::default(),
+            config,
         }
     }
 
@@ -187,33 +191,28 @@ impl Velodrome {
         local.seen_edge_events = slot.edge_events.load(Ordering::Acquire);
         let id = VTxId::new(t, local.seq);
         let prev = VTxId(slot.current_tx.load(Ordering::Acquire));
-        self.graph.lock().begin(id, kind, prev);
+        {
+            let mut graph = self.graph.lock();
+            graph.begin(id, kind, prev);
+            // The begin ticked the graph's collector pacer; a due pass runs
+            // under the same lock, rooted at each thread's newest
+            // transaction.
+            if graph.collect_due() {
+                let collected = graph.collect();
+                let stats = &self.stats;
+                stats
+                    .collected_txs
+                    .fetch_add(collected as u64, Ordering::Relaxed);
+                stats
+                    .collect_passes
+                    .store(graph.collect_passes(), Ordering::Relaxed);
+                stats
+                    .collect_scanned
+                    .store(graph.collect_scanned(), Ordering::Relaxed);
+            }
+        }
         slot.current_tx.store(id.0, Ordering::Release);
         self.stats.transactions.fetch_add(1, Ordering::Relaxed);
-        self.maybe_collect();
-    }
-
-    fn maybe_collect(&self) {
-        if self.config.collect_every == 0 {
-            return;
-        }
-        let n = self.begins_since_collect.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.config.collect_every
-            && self
-                .begins_since_collect
-                .compare_exchange(n, 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            let roots: Vec<VTxId> = self
-                .slots
-                .iter()
-                .map(|s| VTxId(s.current_tx.load(Ordering::Acquire)))
-                .collect();
-            let collected = self.graph.lock().collect(roots);
-            self.stats
-                .collected_txs
-                .fetch_add(collected as u64, Ordering::Relaxed);
-        }
     }
 
     /// Unary-transaction merging: cut the current unary transaction if a

@@ -6,11 +6,11 @@
 //! conflict-serializability violation (paper §2), reported with blame
 //! assignment. Transactions unreachable from any thread's current
 //! transaction are reclaimed (the paper treats metadata references as weak
-//! references).
+//! references). Nodes live in the hash-free per-thread [`TxStore`].
 
+use crate::store::{Link, TxStore};
 use dc_runtime::ids::{MethodId, ThreadId};
 use dc_runtime::spec::TxKind;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A Velodrome transaction id: per-thread sequence number packed with the
@@ -67,19 +67,11 @@ impl VViolation {
     }
 }
 
-struct VNode {
-    kind: TxKind,
-    out: Vec<VTxId>,
-    /// Orders of this node's earliest incoming/outgoing edges (for blame).
-    first_out: Option<u32>,
-    first_in: Option<u32>,
-}
-
-/// The dependence graph.
+/// The dependence graph: transactions in a per-thread [`TxStore`] plus
+/// Velodrome's counters.
 #[derive(Default)]
 pub struct VGraph {
-    nodes: HashMap<VTxId, VNode>,
-    next_order: u32,
+    store: TxStore<()>,
     /// Cross-thread dependence edges added.
     pub cross_edges: u64,
     /// Cycles detected.
@@ -89,44 +81,40 @@ pub struct VGraph {
 impl fmt::Debug for VGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VGraph")
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.store.len())
             .finish()
     }
 }
 
 impl VGraph {
-    /// Creates an empty graph.
+    /// Creates an empty graph (collection pacing disabled).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Creates an empty graph whose collector is due after
+    /// `max(every, survivors / 2)` transaction begins (0 disables it).
+    pub fn paced(every: u32) -> Self {
+        VGraph {
+            store: TxStore::new(every),
+            ..VGraph::default()
+        }
+    }
+
     /// Live node count.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.store.len()
     }
 
     /// True if no nodes are live.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.store.is_empty()
     }
 
     /// Registers a new transaction, adding the intra-thread edge from the
     /// thread's previous transaction.
     pub fn begin(&mut self, id: VTxId, kind: TxKind, prev: VTxId) {
-        self.nodes.insert(
-            id,
-            VNode {
-                kind,
-                out: Vec::new(),
-                first_out: None,
-                first_in: None,
-            },
-        );
-        if prev.is_some() {
-            if let Some(p) = self.nodes.get_mut(&prev) {
-                p.out.push(id);
-            }
-        }
+        self.store.begin(id, kind, prev);
     }
 
     /// Adds a cross-thread dependence edge and checks for a cycle through
@@ -138,109 +126,38 @@ impl VGraph {
         dst: VTxId,
         detect_cycles: bool,
     ) -> Option<VViolation> {
-        if src == dst || !src.is_some() || !dst.is_some() {
-            return None;
+        if self.store.link(src, dst) != Link::Added {
+            return None; // duplicate edges cannot close a new cycle
         }
-        if !self.nodes.contains_key(&src) || !self.nodes.contains_key(&dst) {
-            return None;
-        }
-        let order = self.next_order;
-        self.next_order += 1;
-        {
-            let s = self.nodes.get_mut(&src).expect("src exists");
-            if s.out.contains(&dst) {
-                return None; // duplicate edge: no new cycle possible
-            }
-            s.out.push(dst);
-            s.first_out.get_or_insert(order);
-        }
-        self.nodes
-            .get_mut(&dst)
-            .expect("dst exists")
-            .first_in
-            .get_or_insert(order);
         self.cross_edges += 1;
         if !detect_cycles {
             return None;
         }
-        let cycle = self.find_cycle(src, dst)?;
+        let cycle = self.store.find_cycle(src, dst)?;
         self.cycles += 1;
-        Some(self.report(cycle))
+        Some(self.store.report(&cycle))
     }
 
-    /// Path from `dst` back to `src` (the cycle closed by edge src→dst).
-    fn find_cycle(&self, src: VTxId, dst: VTxId) -> Option<Vec<VTxId>> {
-        let mut stack = vec![dst];
-        let mut visited: HashSet<VTxId> = [dst].into_iter().collect();
-        let mut parent: HashMap<VTxId, VTxId> = HashMap::new();
-        while let Some(v) = stack.pop() {
-            if v == src {
-                let mut path = vec![v];
-                let mut cur = v;
-                while cur != dst {
-                    cur = parent[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path); // dst … src
-            }
-            if let Some(node) = self.nodes.get(&v) {
-                for &w in &node.out {
-                    if self.nodes.contains_key(&w) && visited.insert(w) {
-                        parent.insert(w, v);
-                        stack.push(w);
-                    }
-                }
-            }
-        }
-        None
+    /// True when enough transactions began since the last collection for
+    /// another pass to pay for itself.
+    pub fn collect_due(&self) -> bool {
+        self.store.collect_due()
     }
 
-    fn report(&self, cycle: Vec<VTxId>) -> VViolation {
-        let members: Vec<(VTxId, TxKind)> =
-            cycle.iter().map(|&tx| (tx, self.nodes[&tx].kind)).collect();
-        // Blame: first outgoing edge earlier than first incoming edge.
-        let mut blamed: Vec<MethodId> = members
-            .iter()
-            .filter(|(tx, _)| {
-                let n = &self.nodes[tx];
-                matches!((n.first_out, n.first_in), (Some(o), Some(i)) if o < i)
-            })
-            .filter_map(|(_, k)| k.method())
-            .collect();
-        if blamed.is_empty() {
-            blamed = members.iter().filter_map(|(_, k)| k.method()).collect();
-        }
-        blamed.sort();
-        blamed.dedup();
-        VViolation {
-            cycle: members,
-            blamed_methods: blamed,
-        }
+    /// Reclaims transactions unreachable via outgoing edges from every
+    /// thread's newest (current) transaction. Returns the number collected.
+    pub fn collect(&mut self) -> usize {
+        self.store.collect()
     }
 
-    /// Reclaims transactions unreachable from the roots (current
-    /// transactions) via outgoing edges. Returns the number collected.
-    pub fn collect(&mut self, roots: impl IntoIterator<Item = VTxId>) -> usize {
-        let mut marked: HashSet<VTxId> = HashSet::new();
-        let mut work: Vec<VTxId> = Vec::new();
-        for r in roots {
-            if r.is_some() && marked.insert(r) {
-                work.push(r);
-            }
-        }
-        while let Some(id) = work.pop() {
-            if let Some(node) = self.nodes.get(&id) {
-                for &w in &node.out {
-                    if marked.insert(w) {
-                        work.push(w);
-                    }
-                }
-            }
-        }
-        let before = self.nodes.len();
-        self.nodes.retain(|id, _| marked.contains(id));
-        before - self.nodes.len()
+    /// Collector passes run so far.
+    pub fn collect_passes(&self) -> u64 {
+        self.store.collect_passes()
+    }
+
+    /// Window slots the collector's passes scanned so far.
+    pub fn collect_scanned(&self) -> u64 {
+        self.store.collect_scanned()
     }
 }
 
@@ -330,7 +247,7 @@ mod tests {
         g.begin(a2, reg(0), a1);
         // Root is a2 (current): a1 has only an edge *to* a2, so from a2
         // nothing reaches a1 — a1 collected.
-        assert_eq!(g.collect([a2]), 1);
+        assert_eq!(g.collect(), 1);
         assert_eq!(g.len(), 1);
         // Edges naming a1 are now ignored.
         assert!(g.add_cross_edge(a1, a2, true).is_none());

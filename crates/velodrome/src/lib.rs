@@ -22,7 +22,9 @@
 pub mod checker;
 pub mod graph;
 pub mod meta;
+pub mod store;
 
 pub use checker::{Variant, Velodrome, VelodromeConfig, VelodromeStats};
 pub use graph::{VGraph, VTxId, VViolation};
 pub use meta::MetaTable;
+pub use store::{Link, TxNode, TxStore};

@@ -209,7 +209,7 @@ proptest! {
     /// decisions, trigger the same merges, and produce the same analysis —
     /// even with the collector at its most aggressive cadence. (Replay-pool
     /// workers race for SCCs, so violations compare as static-key sets and
-    /// the timing-dependent reclaim count is scrubbed.)
+    /// the timing-dependent collector counters are scrubbed.)
     #[test]
     fn shard_routing_is_a_pure_function_of_the_op_stream((methods, threads, iters) in gen_program(), seed in 0u64..1000) {
         use dc_core::DcStats;
@@ -227,7 +227,12 @@ proptest! {
         };
         prop_assert_eq!(keys(&a), keys(&b), "violation sets diverge between runs");
         prop_assert_eq!(&a.static_info, &b.static_info, "static info diverges");
-        let scrub = |mut s: DcStats| { s.collected_txs = 0; s };
+        let scrub = |mut s: DcStats| {
+            s.collected_txs = 0;
+            s.collect_passes = 0;
+            s.collect_scanned = 0;
+            s
+        };
         prop_assert_eq!(scrub(a.stats), scrub(b.stats), "stats diverge between runs");
         let pa = a.pipeline.expect("counters level reports");
         let pb = b.pipeline.expect("counters level reports");

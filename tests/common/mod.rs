@@ -103,10 +103,13 @@ pub fn violation_keys(report: &DcReport) -> BTreeSet<Vec<Option<MethodId>>> {
     report.violations.iter().map(|v| v.static_key()).collect()
 }
 
-/// Zeroes the collector's timing-dependent reclaim count so otherwise
-/// bit-identical configurations compare equal.
+/// Zeroes the collector's timing-dependent counters (reclaim count,
+/// passes, slots scanned) so otherwise bit-identical configurations compare
+/// equal.
 pub fn scrub_collected(mut stats: DcStats) -> DcStats {
     stats.collected_txs = 0;
+    stats.collect_passes = 0;
+    stats.collect_scanned = 0;
     stats
 }
 
