@@ -11,14 +11,15 @@
 //!   with the offline oracle's verdict.
 //!
 //! Argument parsing is hand-rolled (`--key value` pairs) to stay within
-//! the workspace's dependency policy.
+//! the workspace's dependency policy. Each subcommand declares the keys it
+//! accepts; any other key is a usage error rather than a silent no-op.
 
 #![warn(missing_docs)]
 
 use dc_aerodrome::{AeroConfig, AeroDrome};
 use dc_core::{
     run_doublechecker, stats_to_json, trace_event_to_json, DcConfig, DcReport, ExecPlan, ObsLevel,
-    OpTransport, ReportedViolation, StaticTxInfo,
+    ReportedViolation, StaticTxInfo,
 };
 use dc_octet::CoordinationMode;
 use dc_pcd::{analyze_trace, OfflineConfig};
@@ -56,18 +57,26 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses `--key value` pairs from raw arguments.
+    /// Parses `--key value` pairs from raw arguments, accepting only the
+    /// keys in `accepted`.
     ///
     /// # Errors
     ///
-    /// Rejects positional arguments and dangling `--key`s.
-    pub fn parse(args: &[String]) -> Result<Flags, CliError> {
+    /// Rejects positional arguments, dangling `--key`s, and keys not in
+    /// `accepted`.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument {a:?}")));
             };
+            if !accepted.contains(&key) {
+                return Err(CliError::Usage(format!(
+                    "unknown flag --{key}; accepted: --{}",
+                    accepted.join(", --")
+                )));
+            }
             let Some(value) = it.next() else {
                 return Err(CliError::Usage(format!("--{key} needs a value")));
             };
@@ -130,8 +139,6 @@ pub fn usage() -> &'static str {
                           velodrome|velodrome-unsound|aerodrome]\n\
                [--seed N] [--scale tiny|small|full] [--engine det|real]\n\
                [--pipelined on|off]  async graph/SCC/PCD pipeline (DoubleChecker modes)\n\
-               [--transport ring|channel]  pipelined op transport (default ring)\n\
-               [--shards N]          pipelined IDG shards (default 1 = single owner)\n\
                [--barrier-cache on|off]  Octet ownership inline cache (default on)\n\
                [--obs off|counters|full]  pipeline observability level\n\
                [--stats-json <path>] write stats + pipeline metrics as JSON\n\
@@ -150,20 +157,38 @@ pub fn usage() -> &'static str {
 /// [`CliError::Usage`] for malformed invocations, [`CliError::Failed`] for
 /// runtime failures.
 pub fn run(args: &[String]) -> Result<String, CliError> {
+    type Command = fn(&Flags) -> Result<String, CliError>;
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage(usage().into()));
     };
-    let flags = Flags::parse(rest)?;
-    match command.as_str() {
-        "list" => cmd_list(&flags),
-        "check" => cmd_check(&flags),
-        "refine" => cmd_refine(&flags),
-        "trace" => cmd_trace(&flags),
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?}\n{}",
-            usage()
-        ))),
-    }
+    let (accepted, cmd): (&[&str], Command) = match command.as_str() {
+        "list" => (&["scale"], cmd_list),
+        "check" => (
+            &[
+                "workload",
+                "history",
+                "checker",
+                "seed",
+                "scale",
+                "engine",
+                "pipelined",
+                "barrier-cache",
+                "obs",
+                "stats-json",
+                "trace-out",
+            ],
+            cmd_check,
+        ),
+        "refine" => (&["workload", "window", "scale"], cmd_refine),
+        "trace" => (&["workload", "seed", "limit", "scale"], cmd_trace),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command {other:?}\n{}",
+                usage()
+            )))
+        }
+    };
+    cmd(&Flags::parse(rest, accepted)?)
 }
 
 fn cmd_list(flags: &Flags) -> Result<String, CliError> {
@@ -432,26 +457,6 @@ fn cmd_check(flags: &Flags) -> Result<String, CliError> {
                     )))
                 }
             };
-            let config = match flags.get("transport") {
-                None => config,
-                Some(v) => match OpTransport::parse(v) {
-                    Some(t) => config.with_op_transport(t),
-                    None => {
-                        return Err(CliError::Usage(format!(
-                            "--transport must be ring|channel, got {v:?}"
-                        )))
-                    }
-                },
-            };
-            let config = match flags.get("shards") {
-                None => config,
-                Some(v) => {
-                    let shards = v.parse::<u32>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError::Usage(format!("--shards expects a positive integer, got {v:?}"))
-                    })?;
-                    config.with_shards(shards)
-                }
-            };
             let config = match flags.get("barrier-cache") {
                 None => config,
                 Some("on") => config.with_barrier_cache(true),
@@ -705,7 +710,7 @@ mod tests {
 
     #[test]
     fn flags_parse_key_value_pairs() {
-        let f = Flags::parse(&argv("--workload tsp --seed 7")).unwrap();
+        let f = Flags::parse(&argv("--workload tsp --seed 7"), &["workload", "seed"]).unwrap();
         assert_eq!(f.get("workload"), Some("tsp"));
         assert_eq!(f.get("seed"), Some("7"));
         assert_eq!(f.get("missing"), None);
@@ -714,11 +719,42 @@ mod tests {
     #[test]
     fn flags_reject_positional_and_dangling() {
         assert!(matches!(
-            Flags::parse(&argv("positional")),
+            Flags::parse(&argv("positional"), &["key"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            Flags::parse(&argv("--key")),
+            Flags::parse(&argv("--key"), &["key"]),
+            Err(CliError::Usage(_))
+        ));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // A typo, and the removed sharding and transport knobs: each must
+        // fail loudly instead of silently running the default.
+        for extra in [
+            "--seeed 3",
+            "--bogus-flag 1",
+            "--shards 2",
+            "--shards 1",
+            "--transport ring",
+            "--transport channel",
+        ] {
+            let err = run(&argv(&format!("check --workload tsp {extra}"))).unwrap_err();
+            let key = extra.split_whitespace().next().unwrap();
+            assert!(
+                matches!(err, CliError::Usage(ref m) if m.contains(&format!("unknown flag {key}"))),
+                "{extra}: {err:?}"
+            );
+        }
+        // Keys are per command: --seed is a `check`/`trace` flag, not a
+        // `refine` one.
+        assert!(matches!(
+            run(&argv("refine --workload elevator --seed 1")),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            run(&argv("list --workload tsp")),
             Err(CliError::Usage(_))
         ));
     }
@@ -821,12 +857,10 @@ mod tests {
         let doc = serde_json::from_str(&text).unwrap();
         assert!(doc.get("regular_txs").and_then(|v| v.as_u64()).is_some());
         let pipeline = doc.get("pipeline").expect("pipeline member");
-        // --stats-json without --obs implies at least the counters level
-        // (a DC_OBS environment default may raise it further).
-        let level = pipeline.get("level").and_then(|v| v.as_str());
-        assert!(
-            level == Some("counters") || level == Some("full"),
-            "stats-json must imply at least counters, got {level:?}"
+        // --stats-json without --obs implies exactly the counters level.
+        assert_eq!(
+            pipeline.get("level").and_then(|v| v.as_str()),
+            Some("counters")
         );
         for section in ["octet", "graph", "replay", "checker"] {
             assert!(pipeline.get(section).is_some(), "missing {section}");
@@ -854,71 +888,15 @@ mod tests {
             .get("cache_flushes")
             .and_then(|v| v.as_u64())
             .is_some());
-        let shards = graph.get("shards").expect("shards gauge");
-        assert!(shards.get("current").and_then(|v| v.as_u64()).is_some());
-        assert!(graph.get("shard_merges").and_then(|v| v.as_u64()).is_some());
-        let depths = graph
-            .get("shard_queue_depth")
-            .and_then(|v| v.as_array())
-            .expect("shard_queue_depth array");
-        assert!(!depths.is_empty());
-        assert!(depths[0].get("high_watermark").is_some());
-        let busy = graph
-            .get("shard_busy_ns")
-            .and_then(|v| v.as_array())
-            .expect("shard_busy_ns array");
-        assert_eq!(busy.len(), depths.len());
+        for gone in [
+            "shards",
+            "shard_merges",
+            "shard_queue_depth",
+            "shard_busy_ns",
+        ] {
+            assert!(graph.get(gone).is_none(), "removed key {gone} is back");
+        }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn check_sharded_stats_json_reports_shard_metrics() {
-        let dir = std::env::temp_dir().join("dc-cli-test-stats-sharded");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.json");
-        let path_str = path.to_str().unwrap();
-        run(&argv(&format!(
-            "check --workload tsp --seed 3 --pipelined on --shards 2 --stats-json {path_str}"
-        )))
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
-        let graph = doc
-            .get("pipeline")
-            .and_then(|p| p.get("graph"))
-            .expect("graph section");
-        assert_eq!(
-            graph
-                .get("shards")
-                .and_then(|s| s.get("current"))
-                .and_then(|v| v.as_u64()),
-            Some(2),
-            "{graph:?}"
-        );
-        assert_eq!(
-            graph.get("ops_enqueued"),
-            graph.get("ops_applied"),
-            "sharded pipeline fully drained"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn check_transport_flag_selects_transport_and_rejects_garbage() {
-        let ring = run(&argv(
-            "check --workload tsp --seed 3 --pipelined on --transport ring",
-        ))
-        .unwrap();
-        let chan = run(&argv(
-            "check --workload tsp --seed 3 --pipelined on --transport channel",
-        ))
-        .unwrap();
-        // Same analysis either way: the summary lines agree.
-        assert_eq!(ring, chan);
-        assert!(matches!(
-            run(&argv("check --workload tsp --transport bus")),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]
@@ -1059,7 +1037,7 @@ mod tests {
         let path = dir.join("stats.json");
         let path_str = path.to_str().unwrap();
         run(&argv(&format!(
-            "check --workload tsp --seed 3 --pipelined on --shards 2 --stats-json {path_str}"
+            "check --workload tsp --seed 3 --pipelined on --stats-json {path_str}"
         )))
         .unwrap();
         let doc: serde_json::Value =
@@ -1097,26 +1075,6 @@ mod tests {
             run(&argv("trace --workload philo --limit nope")),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn check_shards_flag_preserves_results_and_rejects_garbage() {
-        let single = run(&argv("check --workload tsp --seed 3 --pipelined on")).unwrap();
-        let sharded = run(&argv(
-            "check --workload tsp --seed 3 --pipelined on --shards 2",
-        ))
-        .unwrap();
-        // Sharding is a pure performance knob: identical summary output.
-        assert_eq!(single, sharded);
-        for bad in ["0", "-1", "many"] {
-            assert!(
-                matches!(
-                    run(&argv(&format!("check --workload tsp --shards {bad}"))),
-                    Err(CliError::Usage(_))
-                ),
-                "--shards {bad} must be rejected"
-            );
-        }
     }
 
     #[test]
@@ -1220,8 +1178,7 @@ mod tests {
             .join("stats.json");
         let stats_str = stats.to_str().unwrap();
         let out = run(&argv(&format!(
-            "check --history {path} --pipelined on --shards 2 --transport channel \
-             --stats-json {stats_str}"
+            "check --history {path} --pipelined on --stats-json {stats_str}"
         )))
         .unwrap();
         assert!(

@@ -12,7 +12,7 @@
 //!   filter: PCD processes every executed transaction at run end.
 
 use crate::report::{DcStats, StaticTxInfo};
-use dc_icd::{Icd, IcdConfig, OpTransport, PipelineError, PipelineMode, SccReport, SccSink};
+use dc_icd::{Icd, IcdConfig, PipelineError, PipelineMode, SccReport, SccSink};
 use dc_obs::{EventKind, ObsLevel, PipelineObs, PipelineReport, Stage, TraceEvent};
 use dc_octet::{BarrierOutcome, CoordinationMode, OctetState, Protocol, TransitionSink};
 use dc_pcd::{replay_scc, ReplayPool, ReplayStats, Violation};
@@ -53,76 +53,24 @@ pub struct DcConfig {
     /// Off by default (the deterministic engine and the interleaving tests
     /// use the synchronous path).
     pub pipelined: bool,
-    /// How much the pipeline observability layer records. `Off` compiles to
-    /// a single pointer test per instrumentation site; no level changes
-    /// checker results. Defaults to the `DC_OBS` environment variable
-    /// (`off`/`counters`/`full`; legacy `DC_TRACE` means `full`), read once.
+    /// How much the pipeline observability layer records. `Off` (the
+    /// default) compiles to a single pointer test per instrumentation site;
+    /// no level changes checker results.
     pub observability: ObsLevel,
-    /// Transport carrying graph ops to the owner thread in pipelined mode
-    /// (ignored otherwise). Defaults to the `DC_TRANSPORT` environment
-    /// variable (`ring`/`channel`), read once; `ring` when unset.
-    pub op_transport: OpTransport,
-    /// IDG shards in pipelined mode (ignored otherwise): 1 keeps the single
-    /// graph-owner thread, above 1 partitions the graph by connected
-    /// component across that many shard-owner threads. Defaults to the
-    /// `DC_SHARDS` environment variable, read once; 1 when unset.
-    pub shards: u32,
     /// Octet's per-thread ownership inline cache (hit = no state-word
-    /// load). `false` restores the exact uncached barrier — the
-    /// differential baseline for `--barrier-cache off`. Defaults to the
-    /// `DC_BARRIER_CACHE` environment variable (`on`/`off`), read once;
-    /// on when unset.
+    /// load). `false` restores the exact uncached barrier — the oracle for
+    /// the cache's safe-point argument (§3.2.1). On by default.
     pub barrier_cache: bool,
 }
 
-/// The process-wide default observability level: `DC_OBS` if set and valid,
-/// else `full` when the legacy `DC_TRACE` is set, else off. Read once.
-fn default_obs_level() -> ObsLevel {
-    static LEVEL: OnceLock<ObsLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        if let Some(v) = std::env::var_os("DC_OBS") {
-            if let Some(level) = v.to_str().and_then(ObsLevel::parse) {
-                return level;
-            }
-        }
-        if std::env::var_os("DC_TRACE").is_some() {
-            return ObsLevel::Full;
-        }
-        ObsLevel::Off
-    })
-}
-
-/// The process-wide default op transport: `DC_TRANSPORT` if set and valid,
-/// else the ring. Read once.
-fn default_op_transport() -> OpTransport {
-    static TRANSPORT: OnceLock<OpTransport> = OnceLock::new();
-    *TRANSPORT.get_or_init(|| {
-        std::env::var_os("DC_TRANSPORT")
-            .and_then(|v| v.to_str().and_then(OpTransport::parse))
-            .unwrap_or_default()
-    })
-}
-
-/// The process-wide default pipelined shard count: `DC_SHARDS` if set and a
-/// positive integer, else 1. Read once.
-fn default_shards() -> u32 {
-    static SHARDS: OnceLock<u32> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var_os("DC_SHARDS")
-            .and_then(|v| v.to_str().and_then(|s| s.parse().ok()))
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
-}
-
-/// The process-wide default barrier-cache switch: `DC_BARRIER_CACHE` if set
-/// to `on`/`off`, else on. Read once.
-fn default_barrier_cache() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let v = std::env::var_os("DC_BARRIER_CACHE");
-        !matches!(v.as_deref().and_then(|s| s.to_str()), Some("off"))
-    })
+/// How pipelined-mode graph ops reach the owner thread. The ring is the
+/// only transport; only `perfbench/` still names this enum.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum OpTransport {
+    /// The bounded MPSC ring.
+    #[default]
+    Ring,
 }
 
 impl DcConfig {
@@ -138,10 +86,8 @@ impl DcConfig {
             collect_every: 128,
             coordination,
             pipelined: false,
-            observability: default_obs_level(),
-            op_transport: default_op_transport(),
-            shards: default_shards(),
-            barrier_cache: default_barrier_cache(),
+            observability: ObsLevel::Off,
+            barrier_cache: true,
         }
     }
 
@@ -152,30 +98,36 @@ impl DcConfig {
         self
     }
 
-    /// Returns this configuration with the given observability level
-    /// (overriding the `DC_OBS` environment default).
+    /// Returns this configuration with the given observability level.
     pub fn with_observability(mut self, level: ObsLevel) -> Self {
         self.observability = level;
         self
     }
 
-    /// Returns this configuration with the given pipelined op transport
-    /// (overriding the `DC_TRANSPORT` environment default).
-    pub fn with_op_transport(mut self, transport: OpTransport) -> Self {
-        self.op_transport = transport;
+    /// Identity: the ring is the only op transport. Only `perfbench/`
+    /// still calls this.
+    #[doc(hidden)]
+    pub fn with_op_transport(self, _transport: OpTransport) -> Self {
         self
     }
 
-    /// Returns this configuration with the given pipelined IDG shard count
-    /// (overriding the `DC_SHARDS` environment default).
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
+    /// Identity for `shards == 1`: the IDG has exactly one owner. Only
+    /// `perfbench/` still calls this.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `shards == 1`.
+    #[doc(hidden)]
+    pub fn with_shards(self, shards: u32) -> Self {
+        assert_eq!(
+            shards, 1,
+            "the IDG has a single owner; sharding was removed"
+        );
         self
     }
 
     /// Returns this configuration with Octet's ownership inline cache
-    /// switched on or off (overriding the `DC_BARRIER_CACHE` environment
-    /// default).
+    /// switched on or off.
     pub fn with_barrier_cache(mut self, barrier_cache: bool) -> Self {
         self.barrier_cache = barrier_cache;
         self
@@ -276,30 +228,6 @@ pub struct DoubleChecker {
     n_threads: usize,
 }
 
-/// `DC_DEBUG_SCC_SIZE` diagnostic for one detected SCC. The env var is read
-/// once (not per SCC).
-fn debug_scc_size(scc: &SccReport) {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    if !*FLAG.get_or_init(|| std::env::var_os("DC_DEBUG_SCC_SIZE").is_some()) {
-        return;
-    }
-    let regular = scc.txs.iter().filter(|t| t.kind.is_regular()).count();
-    let mut methods: Vec<_> = scc
-        .txs
-        .iter()
-        .filter_map(|t| t.kind.method())
-        .map(|m| m.0)
-        .collect();
-    methods.sort_unstable();
-    methods.dedup();
-    eprintln!(
-        "[scc] size {} regular {} methods {:?}",
-        scc.len(),
-        regular,
-        &methods[..methods.len().min(12)]
-    );
-}
-
 impl std::fmt::Debug for DoubleChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DoubleChecker")
@@ -325,8 +253,6 @@ impl DoubleChecker {
             } else {
                 PipelineMode::Sync
             },
-            transport: config.op_transport,
-            shards: config.shards,
         };
         let static_info = Arc::new(Mutex::new(StaticTxInfo::default()));
         let sccs_to_pcd = Arc::new(AtomicU64::new(0));
@@ -340,7 +266,6 @@ impl DoubleChecker {
             let info = Arc::clone(&static_info);
             let counter = Arc::clone(&sccs_to_pcd);
             let sink: SccSink = Box::new(move |scc: SccReport| {
-                debug_scc_size(&scc);
                 info.lock().absorb_scc(&scc);
                 if let Some(handle) = &handle {
                     counter.fetch_add(1, Ordering::Relaxed);
@@ -455,7 +380,6 @@ impl DoubleChecker {
     /// (single-run / second run).
     fn process_scc(&self, scc: Option<SccReport>) {
         let Some(scc) = scc else { return };
-        debug_scc_size(&scc);
         {
             let mut info = self.static_info.lock();
             info.absorb_scc(&scc);

@@ -52,8 +52,8 @@ pub mod modes;
 pub mod refine;
 pub mod report;
 
-pub use checker::{DcConfig, DoubleChecker};
-pub use dc_icd::{OpTransport, PipelineError};
+pub use checker::{DcConfig, DoubleChecker, OpTransport};
+pub use dc_icd::PipelineError;
 pub use dc_obs::{ObsLevel, PipelineReport, TraceEvent};
 pub use modes::{run_doublechecker, run_multi, run_single, DcReport, ExecPlan, MultiRunReport};
 pub use refine::{initial_spec, iterative_refinement, RefinementResult, ReportedViolation};

@@ -110,12 +110,6 @@ pub fn pipeline_report_to_json(r: &PipelineReport) -> Value {
             "collect_latency": histogram_json(r.graph.collect_latency),
             "enqueue_latency": histogram_json(r.graph.enqueue_latency),
             "apply_latency": histogram_json(r.graph.apply_latency),
-            "shards": gauge_json(r.graph.shards),
-            "shard_merges": r.graph.shard_merges,
-            "shard_queue_depth": r.graph.shard_depth.iter()
-                .map(|&g| gauge_json(g))
-                .collect::<Vec<_>>(),
-            "shard_busy_ns": r.graph.shard_busy.to_vec(),
         }),
         "replay": serde_json::json!({
             "submitted": r.replay.submitted,

@@ -20,9 +20,7 @@
 //! zero in pipelined mode.
 
 use crate::graph::{Graph, GraphCounters, SccProbe};
-use crate::pipeline::{
-    GraphOp, OpTransport, PipelineError, PipelineHandle, PipelineMode, PosSnapshot, SccSink,
-};
+use crate::pipeline::{GraphOp, PipelineError, PipelineHandle, PipelineMode, PosSnapshot, SccSink};
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
 use dc_obs::{EventKind, PipelineObs, Stage};
 use dc_runtime::heap::CellLayout;
@@ -50,14 +48,6 @@ pub struct IcdConfig {
     /// Where graph maintenance runs: on the application threads under a
     /// mutex (`Sync`) or on a dedicated graph-owner thread (`Pipelined`).
     pub pipeline: PipelineMode,
-    /// How pipelined-mode ops reach the graph owner (ignored in `Sync`
-    /// mode): the bounded MPSC ring (default) or the legacy unbounded
-    /// channel kept as the differential baseline.
-    pub transport: OpTransport,
-    /// IDG shards in pipelined mode (clamped to `1..=dc_obs::MAX_SHARDS`).
-    /// 1 = the classic single-owner path; above 1 a router thread
-    /// partitions the graph by connected component across shard owners.
-    pub shards: u32,
 }
 
 impl Default for IcdConfig {
@@ -67,8 +57,6 @@ impl Default for IcdConfig {
             collect_every: 128,
             detect_sccs: true,
             pipeline: PipelineMode::Sync,
-            transport: OpTransport::Ring,
-            shards: 1,
         }
     }
 }
@@ -538,9 +526,7 @@ impl Icd {
         let log = std::mem::take(&mut local.log);
         if let Some(p) = &self.pipeline {
             let ticket = p.ticket();
-            local
-                .pending
-                .push((ticket, GraphOp::Finish { id, thread: t, log }));
+            local.pending.push((ticket, GraphOp::Finish { id, log }));
             return None;
         }
         self.observe_sync_op();
@@ -752,10 +738,8 @@ impl Icd {
             // so it must not touch a thread-local buffer.
             p.send_one(GraphOp::Cross {
                 src,
-                src_thread: resp,
                 src_pos,
                 dst,
-                dst_thread: req,
                 dst_pos,
             });
         } else {
@@ -805,10 +789,8 @@ impl Icd {
                 p.ticket(),
                 GraphOp::Cross {
                     src,
-                    src_thread: resp,
                     src_pos,
                     dst,
-                    dst_thread: req,
                     dst_pos,
                 },
             ));
@@ -835,10 +817,8 @@ impl Icd {
         if let Some(p) = &self.pipeline {
             p.send_one(GraphOp::Upgrade {
                 cur,
-                thread: t,
                 dst_pos,
                 last_rd_ex,
-                last_owner: prev_owner,
                 snap: self.pos_snapshot(),
             });
         } else {
@@ -883,7 +863,6 @@ impl Icd {
         if let Some(p) = &self.pipeline {
             p.send_one(GraphOp::Fence {
                 cur,
-                thread: t,
                 dst_pos,
                 snap: self.pos_snapshot(),
             });

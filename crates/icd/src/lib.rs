@@ -24,9 +24,8 @@ pub mod graph;
 mod icd;
 mod pipeline;
 mod ring;
-mod shard;
 pub mod types;
 
 pub use icd::{Icd, IcdConfig, IcdStats};
-pub use pipeline::{OpTransport, PipelineError, PipelineMode, SccSink};
+pub use pipeline::{PipelineError, PipelineMode, SccSink};
 pub use types::{Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot};

@@ -7,7 +7,7 @@
 //! apply loop.
 
 use dc_icd::graph::Graph;
-use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, OpTransport, PipelineMode, TxId, TxKind};
+use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, PipelineMode, TxId, TxKind};
 use dc_obs::{ObsLevel, PipelineObs};
 use dc_runtime::ids::{MethodId, ThreadId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -95,7 +95,7 @@ fn warm_pipelined_enqueue_apply_path_does_not_allocate() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let obs = PipelineObs::new(ObsLevel::Counters).expect("counters level");
     // Logging off (the first-run configuration): op payloads are empty logs,
-    // so the steady state exercises the transport, the reorder scoreboard,
+    // so the steady state exercises the ring, the reorder scoreboard,
     // slab reuse, SCC probes, and the collector — and none of it may touch
     // the heap once warm.
     let icd = Icd::with_observability(
@@ -104,7 +104,6 @@ fn warm_pipelined_enqueue_apply_path_does_not_allocate() {
             logging: false,
             collect_every: 8,
             pipeline: PipelineMode::Pipelined,
-            transport: OpTransport::Ring,
             ..IcdConfig::default()
         },
         None,

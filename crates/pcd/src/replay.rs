@@ -39,13 +39,6 @@ impl ReplayStats {
     }
 }
 
-/// True when `DC_DEBUG_SCC` was set at first use (read once, not once per
-/// detected cycle).
-fn debug_scc() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("DC_DEBUG_SCC").is_some())
-}
-
 /// One incoming constraint with its source resolved to dense indices at
 /// construction time, so checking it during replay never hashes.
 #[derive(Clone, Copy)]
@@ -248,19 +241,6 @@ pub fn replay_scc(scc: &SccReport) -> (Vec<Violation>, ReplayStats) {
                 for edge in new_edges {
                     if let Some(cycle) = pdg.cycle_through(edge) {
                         stats.cycles += 1;
-                        if debug_scc() {
-                            eprintln!("--- PCD cycle via {edge:?} on field {field:?}");
-                            for t in &scc.txs {
-                                eprintln!(
-                                    "  tx {:?} thr {:?} seq {} kind {:?} log {:?}",
-                                    t.id, t.thread, t.seq, t.kind, t.log
-                                );
-                            }
-                            for c in &scc.constraints {
-                                eprintln!("  constraint {c:?}");
-                            }
-                            eprintln!("  pdg edges: {:?}", pdg.edges());
-                        }
                         violations.push(Violation::from_cycle(&pdg, &cycle));
                     }
                 }

@@ -29,63 +29,35 @@ fn aggressive(plan: &ExecPlan, pipelined: bool) -> DcConfig {
 /// Real OS threads, collector on every finish: Octet coordination keeps
 /// Cross/Upgrade ops in flight from arbitrary threads while the owner
 /// collects. The run must stay off the app-side graph mutex, drain fully,
-/// and actually exercise both collection and cross-thread edges.
+/// and actually exercise both collection and cross-thread edges — with
+/// observability off (the production path) and full (every site live).
 #[test]
 fn aggressive_collection_is_stable_under_real_threads() {
     let wl = by_name("tsp", Scale::Tiny).unwrap();
     let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
-    for round in 0..8 {
-        let report = run_doublechecker(
-            &wl.program,
-            &spec,
-            aggressive(&ExecPlan::Real, true).with_observability(ObsLevel::Counters),
-            &ExecPlan::Real,
-        )
-        .unwrap();
-        assert_eq!(report.stats.graph_locks, 0, "round {round}");
-        assert!(report.stats.collected_txs > 0, "collector never ran");
-        let p = report.pipeline.expect("counters level reports");
-        assert_eq!(
-            p.graph.ops_enqueued, p.graph.ops_applied,
-            "pipeline failed to drain (round {round})"
-        );
-        assert_eq!(p.replay.submitted, p.replay.completed);
-    }
-}
-
-/// The same aggressive-collection stress with the IDG split across two
-/// shard owners: each shard runs its own collector at the most hostile
-/// cadence while the router migrates components between shards. The run
-/// must stay off the app-side graph mutex, drain every shard fully, and
-/// report no structural op-stream error.
-#[test]
-fn aggressive_collection_is_stable_with_sharded_owners() {
-    let wl = by_name("tsp", Scale::Tiny).unwrap();
-    let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
-    for round in 0..8 {
-        let report = run_doublechecker(
-            &wl.program,
-            &spec,
-            aggressive(&ExecPlan::Real, true)
-                .with_shards(2)
-                .with_observability(ObsLevel::Counters),
-            &ExecPlan::Real,
-        )
-        .unwrap();
-        assert_eq!(report.stats.graph_locks, 0, "round {round}");
-        assert!(report.stats.collected_txs > 0, "collector never ran");
-        assert_eq!(report.pipeline_error, None, "round {round}");
-        let p = report.pipeline.expect("counters level reports");
-        assert_eq!(
-            p.graph.ops_enqueued, p.graph.ops_applied,
-            "sharded pipeline failed to drain (round {round})"
-        );
-        assert_eq!(p.replay.submitted, p.replay.completed);
-        for (idx, depth) in p.graph.shard_depth.iter().enumerate() {
+    for level in [ObsLevel::Off, ObsLevel::Full] {
+        for round in 0..8 {
+            let report = run_doublechecker(
+                &wl.program,
+                &spec,
+                aggressive(&ExecPlan::Real, true).with_observability(level),
+                &ExecPlan::Real,
+            )
+            .unwrap();
+            let ctx = format!("obs {level:?} round {round}");
+            assert_eq!(report.stats.graph_locks, 0, "{ctx}");
+            assert!(report.stats.collected_txs > 0, "{ctx}: collector never ran");
+            assert_eq!(report.pipeline_error, None, "{ctx}");
+            if level == ObsLevel::Off {
+                assert!(report.pipeline.is_none(), "{ctx}: off must report nothing");
+                continue;
+            }
+            let p = report.pipeline.expect("full level reports");
             assert_eq!(
-                depth.current, 0,
-                "shard {idx} ring not drained (round {round})"
+                p.graph.ops_enqueued, p.graph.ops_applied,
+                "{ctx}: pipeline failed to drain"
             );
+            assert_eq!(p.replay.submitted, p.replay.completed, "{ctx}");
         }
     }
 }
@@ -202,45 +174,5 @@ proptest! {
             piped.stats.idg_cross_edges,
             sync.stats.idg_cross_edges
         );
-    }
-
-    /// Shard routing is a pure function of the op stream: two runs of the
-    /// identical program, schedule, and shard count take the same union
-    /// decisions, trigger the same merges, and produce the same analysis —
-    /// even with the collector at its most aggressive cadence. (Replay-pool
-    /// workers race for SCCs, so violations compare as static-key sets and
-    /// the timing-dependent collector counters are scrubbed.)
-    #[test]
-    fn shard_routing_is_a_pure_function_of_the_op_stream((methods, threads, iters) in gen_program(), seed in 0u64..1000) {
-        use dc_core::DcStats;
-        let (program, spec) = build(&methods, threads, iters);
-        let plan = ExecPlan::Det(Schedule::random(seed));
-        let config = || {
-            aggressive(&plan, true)
-                .with_shards(4)
-                .with_observability(ObsLevel::Counters)
-        };
-        let a = run_doublechecker(&program, &spec, config(), &plan).expect("first run");
-        let b = run_doublechecker(&program, &spec, config(), &plan).expect("second run");
-        let keys = |r: &dc_core::DcReport| -> HashSet<_> {
-            r.violations.iter().map(|v| v.static_key()).collect()
-        };
-        prop_assert_eq!(keys(&a), keys(&b), "violation sets diverge between runs");
-        prop_assert_eq!(&a.static_info, &b.static_info, "static info diverges");
-        let scrub = |mut s: DcStats| {
-            s.collected_txs = 0;
-            s.collect_passes = 0;
-            s.collect_scanned = 0;
-            s
-        };
-        prop_assert_eq!(scrub(a.stats), scrub(b.stats), "stats diverge between runs");
-        let pa = a.pipeline.expect("counters level reports");
-        let pb = b.pipeline.expect("counters level reports");
-        prop_assert_eq!(
-            pa.graph.shard_merges, pb.graph.shard_merges,
-            "merge sequence diverges: routing depended on something besides the op stream"
-        );
-        prop_assert_eq!(a.pipeline_error, None);
-        prop_assert_eq!(b.pipeline_error, None);
     }
 }

@@ -17,7 +17,7 @@ pub mod gen;
 use std::collections::BTreeSet;
 
 use dc_aerodrome::{AeroConfig, AeroDrome};
-use dc_core::{run_doublechecker, run_single, DcConfig, DcReport, DcStats, ExecPlan, OpTransport};
+use dc_core::{run_doublechecker, run_single, DcConfig, DcReport, DcStats, ExecPlan, ObsLevel};
 use dc_octet::CoordinationMode;
 use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::{run_det, Schedule};
@@ -144,8 +144,8 @@ pub fn assert_three_way(ctx: &str, program: &Program, spec: &AtomicitySpec, sche
 
 /// History-import oracle: the full three-way assertion on the lowered
 /// program, the expected violation-existence verdict from every checker,
-/// and the pipelined DoubleChecker matrix — shards {1, 2} × both op
-/// transports — each healthy (no pipeline error) and agreeing on existence.
+/// and the pipelined DoubleChecker at observability off and full — each
+/// healthy (no pipeline error) and agreeing on existence.
 pub fn assert_history_verdict(ctx: &str, lowered: &dc_histories::Lowered, expect_violation: bool) {
     let program = &lowered.program;
     let spec = &lowered.spec;
@@ -157,23 +157,17 @@ pub fn assert_history_verdict(ctx: &str, lowered: &dc_histories::Lowered, expect
         expect_violation,
         "{ctx}: expected verdict vs the (already three-way-agreed) checkers"
     );
-    for shards in [1u32, 2] {
-        for transport in [OpTransport::Ring, OpTransport::Channel] {
-            let config = DcConfig::single_run(CoordinationMode::Immediate)
-                .with_pipelined(true)
-                .with_shards(shards)
-                .with_op_transport(transport);
-            let report = run_doublechecker(program, spec, config, &ExecPlan::Det(schedule.clone()))
-                .unwrap_or_else(|e| panic!("{ctx}: shards={shards} {transport:?}: {e}"));
-            assert_eq!(
-                report.pipeline_error, None,
-                "{ctx}: shards={shards} {transport:?}"
-            );
-            assert_eq!(
-                !report.violations.is_empty(),
-                expect_violation,
-                "{ctx}: pipelined shards={shards} {transport:?} (existence)"
-            );
-        }
+    for level in [ObsLevel::Off, ObsLevel::Full] {
+        let config = DcConfig::single_run(CoordinationMode::Immediate)
+            .with_pipelined(true)
+            .with_observability(level);
+        let report = run_doublechecker(program, spec, config, &ExecPlan::Det(schedule.clone()))
+            .unwrap_or_else(|e| panic!("{ctx}: obs {level:?}: {e}"));
+        assert_eq!(report.pipeline_error, None, "{ctx}: obs {level:?}");
+        assert_eq!(
+            !report.violations.is_empty(),
+            expect_violation,
+            "{ctx}: pipelined obs {level:?} (existence)"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Replays every committed anomaly history under `tests/histories/` and
 //! asserts all three checkers agree with the verdict recorded in the file —
-//! under shards {1, 2} × both pipelined op transports.
+//! with the pipelined DoubleChecker at observability off and full.
 //!
 //! These are the repo's strongest differential tests: the expected verdict
 //! of a lost update or a write skew is database folklore, independent of

@@ -5,7 +5,7 @@
 //! the *same run* as Velodrome. The two online checkers must agree bit
 //! for bit on violation keys and blame; all of them must agree on
 //! violation existence. The suite also pins the pure-performance-change
-//! equivalences (pipelining, transports, sharding, observability) of the
+//! equivalences (pipelining, the barrier cache, observability) of the
 //! DoubleChecker configuration space.
 
 mod common;
@@ -14,7 +14,7 @@ use common::{
     aerodrome_verdict, assert_three_way, scrub_collected, velodrome_verdict_with_trace,
     violation_keys,
 };
-use dc_core::{run_doublechecker, run_single, DcConfig, ExecPlan, OpTransport};
+use dc_core::{run_doublechecker, run_single, DcConfig, ExecPlan, ObsLevel};
 use dc_pcd::{analyze_trace, OfflineConfig};
 use dc_runtime::engine::det::Schedule;
 use dc_workloads::{all, Scale};
@@ -32,13 +32,13 @@ fn all_three_checkers_agree_across_the_suite() {
     }
 }
 
-/// The three-way agreement must survive every analysis-pipeline
-/// configuration: the DoubleChecker leg re-runs pipelined under shards
-/// ∈ {1, 2} and both op transports, and each variant must (a) agree with
+/// The three-way agreement must survive the pipelined configuration at
+/// every observability extreme: the DoubleChecker leg re-runs pipelined
+/// with observability off and full, and each variant must (a) agree with
 /// the online checkers on existence and (b) report the same deduplicated
-/// violation set as every other variant.
+/// violation set as the other.
 #[test]
-fn three_way_agreement_holds_under_shards_and_transports() {
+fn three_way_agreement_holds_pipelined_under_observability() {
     for wl in all(Scale::Tiny) {
         let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
         let schedule = Schedule::random(0);
@@ -49,28 +49,23 @@ fn three_way_agreement_holds_under_shards_and_transports() {
         let plan = ExecPlan::Det(schedule);
         let base = DcConfig::single_run(plan.coordination()).with_pipelined(true);
         let mut baseline_keys = None;
-        for shards in [1u32, 2] {
-            for transport in [OpTransport::Ring, OpTransport::Channel] {
-                let config = base
-                    .clone()
-                    .with_shards(shards)
-                    .with_op_transport(transport);
-                let report = run_doublechecker(&wl.program, &spec, config, &plan).unwrap();
-                let ctx = format!("{} shards {shards} transport {transport:?}", wl.name);
-                assert_eq!(
-                    velo.found(),
-                    !report.violations.is_empty(),
-                    "{ctx}: online checkers vs doublechecker (existence)"
-                );
-                assert_eq!(
-                    report.pipeline_error, None,
-                    "{ctx}: healthy run must not report a pipeline error"
-                );
-                let keys = violation_keys(&report);
-                match &baseline_keys {
-                    None => baseline_keys = Some(keys),
-                    Some(b) => assert_eq!(b, &keys, "{ctx}: violation set drifted"),
-                }
+        for level in [ObsLevel::Off, ObsLevel::Full] {
+            let config = base.clone().with_observability(level);
+            let report = run_doublechecker(&wl.program, &spec, config, &plan).unwrap();
+            let ctx = format!("{} obs {level:?}", wl.name);
+            assert_eq!(
+                velo.found(),
+                !report.violations.is_empty(),
+                "{ctx}: online checkers vs doublechecker (existence)"
+            );
+            assert_eq!(
+                report.pipeline_error, None,
+                "{ctx}: healthy run must not report a pipeline error"
+            );
+            let keys = violation_keys(&report);
+            match &baseline_keys {
+                None => baseline_keys = Some(keys),
+                Some(b) => assert_eq!(b, &keys, "{ctx}: violation set drifted"),
             }
         }
     }
@@ -116,100 +111,12 @@ fn pipelined_single_run_matches_synchronous_across_the_suite() {
     }
 }
 
-/// The op transport is a pure performance change: the fixed-capacity ring
-/// and the legacy unbounded channel must produce identical deduplicated
-/// violations, static transaction information, and statistics (modulo the
-/// collector's timing-dependent reclaim count) on the same deterministic
-/// schedule.
-#[test]
-fn ring_and_channel_transports_are_bit_identical_across_the_suite() {
-    for wl in all(Scale::Tiny) {
-        let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
-        for seed in 0..2u64 {
-            let plan = ExecPlan::Det(Schedule::random(seed));
-            let base = DcConfig::single_run(plan.coordination()).with_pipelined(true);
-            let ring = run_doublechecker(
-                &wl.program,
-                &spec,
-                base.clone().with_op_transport(OpTransport::Ring),
-                &plan,
-            )
-            .unwrap();
-            let chan = run_doublechecker(
-                &wl.program,
-                &spec,
-                base.with_op_transport(OpTransport::Channel),
-                &plan,
-            )
-            .unwrap();
-            let ctx = format!("{} seed {seed}", wl.name);
-            assert_eq!(
-                violation_keys(&ring),
-                violation_keys(&chan),
-                "{ctx}: ring vs channel violations"
-            );
-            assert_eq!(
-                ring.static_info, chan.static_info,
-                "{ctx}: ring vs channel static transaction info"
-            );
-            assert_eq!(
-                scrub_collected(ring.stats),
-                scrub_collected(chan.stats),
-                "{ctx}: ring vs channel stats"
-            );
-        }
-    }
-}
-
-/// Sharding the IDG by connected component is a pure performance change:
-/// shards 1 (the classic single graph owner), 2, and 4 must produce
-/// identical deduplicated violations, static transaction information, and
-/// statistics (modulo the per-shard collector's timing-dependent reclaim
-/// count) on the same deterministic schedule.
-#[test]
-fn sharded_idg_is_bit_identical_across_the_suite() {
-    for wl in all(Scale::Tiny) {
-        let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
-        for seed in 0..2u64 {
-            let plan = ExecPlan::Det(Schedule::random(seed));
-            let base = DcConfig::single_run(plan.coordination()).with_pipelined(true);
-            let run = |shards: u32| {
-                run_doublechecker(&wl.program, &spec, base.clone().with_shards(shards), &plan)
-                    .unwrap()
-            };
-            let single = run(1);
-            for shards in [2u32, 4] {
-                let sharded = run(shards);
-                let ctx = format!("{} seed {seed} shards {shards}", wl.name);
-                assert_eq!(
-                    violation_keys(&single),
-                    violation_keys(&sharded),
-                    "{ctx}: single-owner vs sharded violations"
-                );
-                assert_eq!(
-                    single.static_info, sharded.static_info,
-                    "{ctx}: single-owner vs sharded static transaction info"
-                );
-                assert_eq!(
-                    scrub_collected(single.stats),
-                    scrub_collected(sharded.stats),
-                    "{ctx}: single-owner vs sharded stats"
-                );
-                assert_eq!(
-                    sharded.pipeline_error, None,
-                    "{ctx}: healthy run must not report a pipeline error"
-                );
-            }
-        }
-    }
-}
-
 /// The Octet ownership inline cache is a pure performance change: a cache
 /// hit must classify exactly the accesses the metadata word would classify
 /// as same-state, so disabling the cache on the same deterministic schedule
-/// — across shards ∈ {1, 2} and both op transports — must reproduce the
-/// violation set, static transaction information, and statistics bit for
-/// bit (modulo the collector's timing-dependent reclaim count).
+/// must reproduce the pipelined run's violation set, static transaction
+/// information, and statistics bit for bit (modulo the collector's
+/// timing-dependent reclaim count).
 #[test]
 fn barrier_cache_on_and_off_are_bit_identical_across_the_suite() {
     for wl in all(Scale::Tiny) {
@@ -217,50 +124,34 @@ fn barrier_cache_on_and_off_are_bit_identical_across_the_suite() {
         for seed in 0..2u64 {
             let plan = ExecPlan::Det(Schedule::random(seed));
             let base = DcConfig::single_run(plan.coordination()).with_pipelined(true);
-            for shards in [1u32, 2] {
-                for transport in [OpTransport::Ring, OpTransport::Channel] {
-                    let variant = base
-                        .clone()
-                        .with_shards(shards)
-                        .with_op_transport(transport);
-                    let on = run_doublechecker(
-                        &wl.program,
-                        &spec,
-                        variant.clone().with_barrier_cache(true),
-                        &plan,
-                    )
-                    .unwrap();
-                    let off = run_doublechecker(
-                        &wl.program,
-                        &spec,
-                        variant.with_barrier_cache(false),
-                        &plan,
-                    )
-                    .unwrap();
-                    let ctx = format!(
-                        "{} seed {seed} shards {shards} transport {transport:?}",
-                        wl.name
-                    );
-                    assert_eq!(
-                        violation_keys(&on),
-                        violation_keys(&off),
-                        "{ctx}: cache-on vs cache-off violations"
-                    );
-                    assert_eq!(
-                        on.static_info, off.static_info,
-                        "{ctx}: cache-on vs cache-off static transaction info"
-                    );
-                    assert_eq!(
-                        scrub_collected(on.stats),
-                        scrub_collected(off.stats),
-                        "{ctx}: cache-on vs cache-off stats"
-                    );
-                    assert_eq!(
-                        off.pipeline_error, None,
-                        "{ctx}: healthy run must not report a pipeline error"
-                    );
-                }
-            }
+            let on = run_doublechecker(
+                &wl.program,
+                &spec,
+                base.clone().with_barrier_cache(true),
+                &plan,
+            )
+            .unwrap();
+            let off = run_doublechecker(&wl.program, &spec, base.with_barrier_cache(false), &plan)
+                .unwrap();
+            let ctx = format!("{} seed {seed}", wl.name);
+            assert_eq!(
+                violation_keys(&on),
+                violation_keys(&off),
+                "{ctx}: cache-on vs cache-off violations"
+            );
+            assert_eq!(
+                on.static_info, off.static_info,
+                "{ctx}: cache-on vs cache-off static transaction info"
+            );
+            assert_eq!(
+                scrub_collected(on.stats),
+                scrub_collected(off.stats),
+                "{ctx}: cache-on vs cache-off stats"
+            );
+            assert_eq!(
+                off.pipeline_error, None,
+                "{ctx}: healthy run must not report a pipeline error"
+            );
         }
     }
 }
@@ -272,7 +163,6 @@ fn barrier_cache_on_and_off_are_bit_identical_across_the_suite() {
 /// in both the synchronous and the pipelined configuration.
 #[test]
 fn observability_full_vs_off_is_bit_identical_across_the_suite() {
-    use dc_core::ObsLevel;
     for wl in all(Scale::Tiny) {
         let spec = dc_core::initial_spec(&wl.program, &wl.extra_exclusions);
         for seed in 0..2u64 {

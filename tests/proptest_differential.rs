@@ -118,35 +118,6 @@ proptest! {
         prop_assert_eq!(on.stats, off.stats, "stats diverge");
     }
 
-    /// Sharding the pipelined IDG by connected component is a pure
-    /// performance change: on any generated program and schedule, the
-    /// sharded configuration produces the same deduplicated violations,
-    /// static transaction info, and statistics (modulo the per-shard
-    /// collector's reclaim timing) as the single-owner pipeline.
-    #[test]
-    fn sharded_matches_single_owner(p in ProgramStrategy, seed in 0u64..1000) {
-        use dc_core::{run_doublechecker, DcConfig};
-        let (program, spec) = p.build();
-        let plan = ExecPlan::Det(Schedule::random(seed));
-        let base = DcConfig::single_run(plan.coordination()).with_pipelined(true);
-        let single = run_doublechecker(&program, &spec, base.clone().with_shards(1), &plan)
-            .expect("single-owner run");
-        let sharded = run_doublechecker(&program, &spec, base.with_shards(4), &plan)
-            .expect("sharded run");
-        prop_assert_eq!(
-            common::violation_keys(&single),
-            common::violation_keys(&sharded),
-            "violation sets diverge"
-        );
-        prop_assert_eq!(single.static_info, sharded.static_info, "static info diverges");
-        prop_assert_eq!(
-            common::scrub_collected(single.stats),
-            common::scrub_collected(sharded.stats),
-            "stats diverge"
-        );
-        prop_assert_eq!(sharded.pipeline_error, None, "healthy run reported an error");
-    }
-
     /// Full observability is invisible to the analysis: on any generated
     /// program and schedule, the synchronous run with every counter,
     /// histogram, and trace site live is bit-identical — violations, static
