@@ -24,15 +24,16 @@
 //! Out-edge lists are retained for propagation, which also lets a detected
 //! cycle be reconstructed (Velodrome's DFS, run only on actual
 //! violations) so blame assignment is bit-comparable with the baseline.
-//! Records live in Velodrome's hash-free per-thread [`TxStore`], so a
-//! lookup is an index computation and the collector recycles clock slices.
+//! Records live in Velodrome's [`TxStore`] on the shared per-thread
+//! transaction windows, so a lookup is an index computation and the
+//! collector recycles clock slices.
 
 use dc_runtime::spec::TxKind;
 use dc_velodrome::{Link, TxStore, VTxId, VViolation};
 use std::fmt;
 
 fn seq_of(id: VTxId) -> u64 {
-    id.0 >> 16
+    dc_runtime::window::seq_of(id.0)
 }
 
 /// The clock-annotated dependence graph: Velodrome's per-thread

@@ -18,30 +18,36 @@
 //!
 //! # Storage
 //!
-//! Nodes live in a slab (`Vec<TxNode>`) addressed by a dense `u32` slot
-//! index; a free list, refilled by [`Graph::collect`], recycles slots. Each
-//! out-edge stores its destination's slot alongside the [`Edge`], so Tarjan
-//! and the collector's mark phase never hash — the `TxId → slot` map is
-//! consulted only at the graph's boundary (insert/finish/edge creation).
-//! Slot indices held by live edges never dangle: the collector retains
-//! exactly the forward closure of the roots, so every out-edge of a
-//! surviving node targets a surviving node, and a freed slot has no live
-//! referrers when it is reused.
+//! Nodes live in the per-thread [`Windows`] shared with the baselines: a
+//! [`TxId`] packs `(seq << 16) | thread`, so a lookup is
+//! `windows[thread][seq - base]`, never a hash. The intra-thread edge is
+//! implicit: node `(t, s)`'s program-order successor is `(t, s + 1)`,
+//! present exactly when that transaction began while `(t, s)` was live.
+//! Each node records how many explicit out-edges it had when its successor
+//! began, so traversals visit the successor at the position the explicit
+//! edge would have had, and SCC reports list it with the positions it
+//! would have carried (`src_pos` = the predecessor's final log length,
+//! `dst_pos` = 0).
 //!
-//! Tarjan's per-node state (visit index, lowlink, on-stack bit) and the
-//! collector's mark set live in epoch-stamped scratch arrays owned by the
-//! graph: a slot's entry is valid only when its stamp equals the current
-//! visit epoch, so "clearing" between passes is one counter bump. The DFS
-//! stack, frame, and component buffers are retained across calls. In steady
-//! state (slab not growing) [`Graph::scc_from`] and the collector's mark
-//! phase therefore perform no heap allocation.
+//! Because of the implicit successor, whatever reaches `(t, s)` reaches
+//! every later transaction of `t`: survivors of a collection are a suffix
+//! of each window. The mark phase therefore tracks only each thread's
+//! lowest reached sequence number, expanding each survivor once, and the
+//! sweep pops each window's dead prefix without visiting survivors.
+//!
+//! Tarjan's per-node state (visit index, lowlink, on-stack bit) lives in the
+//! node, valid only when the node's epoch stamp is current, so "clearing"
+//! between passes is one counter bump. The DFS stack, frame and component
+//! buffers are retained across calls, and collected nodes return to the
+//! windows' spare pool with their edge vectors and log buffer. In steady
+//! state insertion, edges, finishing, [`Graph::scc_from`] and the collector
+//! therefore perform no heap allocation.
 
 use crate::types::{
     Edge, EdgeKind, LogEntry, ReplayConstraint, SccReport, TxId, TxKind, TxSnapshot,
 };
-use dc_runtime::ids::ThreadId;
 use dc_runtime::pacer::CollectPacer;
-use std::collections::HashMap;
+use dc_runtime::window::{Recycle, Windows};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,25 +63,19 @@ pub struct GraphCounters {
     pub scc_count: AtomicU64,
 }
 
-/// One IDG node, stored in a slab slot. A free slot is recognizable by
-/// `id == TxId::NONE`.
+/// `TxNode::succ_at` while the thread's next transaction has not begun.
+const NO_SUCC: u32 = u32::MAX;
+
+/// One IDG node. Its thread and sequence number are its id's.
 #[derive(Debug)]
 pub struct TxNode {
-    /// The transaction occupying this slot ([`TxId::NONE`] when free).
-    pub id: TxId,
-    /// Executing thread.
-    pub thread: ThreadId,
     /// Regular or unary.
     pub kind: TxKind,
-    /// Per-thread transaction sequence number.
-    pub seq: u64,
     /// True once the transaction has ended.
     pub finished: bool,
-    /// Outgoing edges.
+    /// Explicit outgoing edges (cross-thread, plus any intra-thread edge a
+    /// caller adds by hand); the program-order successor is implicit.
     pub out: Vec<Edge>,
-    /// Slab slot of each out-edge's destination, parallel to `out`, so
-    /// traversals never hash.
-    out_dst: Vec<u32>,
     /// Incoming cross-thread edges, self-contained for replay constraints
     /// (the source may be collected later).
     pub in_cross: Vec<ReplayConstraint>,
@@ -83,11 +83,79 @@ pub struct TxNode {
     pub log: Arc<Vec<LogEntry>>,
     /// Final log length (valid once finished).
     pub final_len: u32,
-    /// Incoming edges added while the node has been live (intra + cross).
-    /// Never decremented, so after a collection it may overcount — it is
-    /// only ever used to *skip* cycle detection when zero, and a node with
-    /// zero recorded in-edges certainly has none.
+    /// Incoming edges added while the node has been live (implicit intra +
+    /// explicit). Never decremented, so after a collection it may
+    /// overcount — it is only ever used to *skip* cycle detection when
+    /// zero, and a node with zero recorded in-edges certainly has none.
     in_count: u32,
+    /// `out.len()` when the successor began: the implicit edge's position
+    /// among the out-edges ([`NO_SUCC`] until then).
+    succ_at: u32,
+    /// Tarjan visit index and lowlink, valid under the current epoch.
+    index: u32,
+    lowlink: u32,
+    on_stack: bool,
+}
+
+impl Default for TxNode {
+    fn default() -> Self {
+        TxNode {
+            kind: TxKind::Unary,
+            finished: false,
+            out: Vec::new(),
+            in_cross: Vec::new(),
+            log: Arc::default(),
+            final_len: 0,
+            in_count: 0,
+            succ_at: NO_SUCC,
+            index: 0,
+            lowlink: 0,
+            on_stack: false,
+        }
+    }
+}
+
+impl Recycle for TxNode {
+    /// Clears edges and the log, keeping their buffers. A log still shared
+    /// with an SCC snapshot is left to the snapshot.
+    fn recycle(&mut self) {
+        self.finished = false;
+        self.out.clear();
+        self.in_cross.clear();
+        match Arc::get_mut(&mut self.log) {
+            Some(log) => log.clear(),
+            None => self.log = Arc::default(),
+        }
+        self.final_len = 0;
+        self.in_count = 0;
+        self.succ_at = NO_SUCC;
+    }
+}
+
+impl TxNode {
+    /// True if the node has an out-edge, the implicit successor included.
+    fn has_out(&self) -> bool {
+        !self.out.is_empty() || self.succ_at != NO_SUCC
+    }
+
+    /// Out-degree, the implicit successor included.
+    fn degree(&self) -> usize {
+        self.out.len() + usize::from(self.succ_at != NO_SUCC)
+    }
+
+    /// The `i`th out-neighbour of node `id` in edge-creation order, the
+    /// implicit successor at position `succ_at`.
+    #[inline]
+    fn neighbour(&self, id: TxId, i: usize) -> TxId {
+        let at = self.succ_at as usize;
+        if self.succ_at == NO_SUCC || i < at {
+            self.out[i].dst
+        } else if i == at {
+            id.succ()
+        } else {
+            self.out[i - 1].dst
+        }
+    }
 }
 
 /// A structurally invalid finish: the op stream named a transaction the
@@ -128,84 +196,29 @@ pub enum SccProbe {
     Cycle(SccReport),
 }
 
-/// Epoch-stamped Tarjan scratch: per-slot visit state plus the retained
-/// DFS stack/frame/component buffers.
+/// Traversal buffers retained across calls.
 #[derive(Debug, Default)]
-struct TarjanScratch {
-    /// Slot entry is valid iff `stamp[slot] == epoch`.
-    stamp: Vec<u32>,
-    index: Vec<u32>,
-    lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
-    /// Tarjan's component stack (slot indices).
-    stack: Vec<u32>,
-    /// DFS frames: (slot, cursor into its out-edges).
-    frames: Vec<(u32, u32)>,
-    /// The root's component, reused across calls.
-    component: Vec<u32>,
-    epoch: u32,
-}
-
-impl TarjanScratch {
-    /// Sizes the per-slot arrays to the slab and starts a fresh visit
-    /// epoch. Allocation-free unless the slab grew since the last pass.
-    fn begin(&mut self, slots: usize) -> u32 {
-        self.stamp.resize(slots, 0);
-        self.index.resize(slots, 0);
-        self.lowlink.resize(slots, 0);
-        self.on_stack.resize(slots, false);
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped: stale stamps from the previous cycle could
-            // alias the new epoch values. Reset and skip 0 (the stamp
-            // arrays' fill value).
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
-}
-
-/// Epoch-stamped mark scratch shared by the collector's mark phase and
-/// component snapshotting.
-#[derive(Debug, Default)]
-struct MarkScratch {
-    /// Slot is marked iff `stamp[slot] == epoch`.
-    stamp: Vec<u32>,
-    /// BFS worklist (collector only).
-    work: Vec<u32>,
-    epoch: u32,
-}
-
-impl MarkScratch {
-    /// Sizes the stamp array to the slab and starts a fresh mark epoch.
-    fn begin(&mut self, slots: usize) -> u32 {
-        self.stamp.resize(slots, 0);
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
+struct Scratch {
+    /// Tarjan's component stack.
+    stack: Vec<TxId>,
+    /// DFS frames: (node, cursor into its out-neighbours).
+    frames: Vec<(TxId, u32)>,
+    /// The root's component.
+    component: Vec<TxId>,
+    /// Collector worklist.
+    work: Vec<TxId>,
+    /// Collector: each thread's lowest reached sequence number.
+    low: Vec<u64>,
 }
 
 /// The IDG plus the `gLastRdSh` register (§3.2.2).
 #[derive(Debug, Default)]
 pub struct Graph {
-    /// Node storage; slots are recycled through `free`.
-    slab: Vec<TxNode>,
-    /// Slots holding no live transaction, refilled by [`Graph::collect`].
-    free: Vec<u32>,
-    /// Boundary map from transaction id to slab slot.
-    index: HashMap<TxId, u32>,
+    windows: Windows<TxNode>,
     /// Last transaction (across all threads) to move an object to RdSh.
     pub g_last_rd_sh: TxId,
     counters: Arc<GraphCounters>,
-    /// Shared empty log, cloned into fresh/freed slots without allocating.
-    empty_log: Arc<Vec<LogEntry>>,
-    tarjan: TarjanScratch,
-    mark: MarkScratch,
+    scratch: Scratch,
     /// Collector cadence, counted in transaction finishes. Travels with
     /// the graph, so whichever lock or owner thread guards the graph also
     /// guards its pacing.
@@ -248,88 +261,67 @@ impl Graph {
 
     /// Number of live (uncollected) transactions.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.windows.len()
     }
 
     /// True if no transactions are live.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.windows.is_empty()
     }
 
-    /// Total slab slots, live or free (tests/diagnostics: a stable slab
-    /// size across insert/collect churn proves slot reuse).
-    pub fn slab_len(&self) -> usize {
-        self.slab.len()
+    /// `(first seq, slot count)` of thread `t`'s window (tests and
+    /// diagnostics: survivors of a collection are a suffix of it).
+    pub fn window(&self, t: usize) -> (u64, usize) {
+        self.windows.span(t)
     }
 
-    /// Free-list length (tests/diagnostics).
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
+    /// Window slots across all threads: what a collector pass accounts as
+    /// swept.
+    pub fn window_slots(&self) -> usize {
+        (0..self.windows.threads())
+            .map(|t| self.windows.span(t).1)
+            .sum()
     }
 
     /// Access a node (tests/diagnostics).
     pub fn node(&self, id: TxId) -> Option<&TxNode> {
-        self.index.get(&id).map(|&i| &self.slab[i as usize])
+        self.windows.get(id.0)
     }
 
-    /// Inserts a new, unfinished transaction node, reusing a free slot when
-    /// one exists.
-    pub fn insert(&mut self, id: TxId, thread: ThreadId, kind: TxKind, seq: u64) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let node = &mut self.slab[slot as usize];
-                debug_assert!(!node.id.is_some(), "free slot still occupied");
-                debug_assert!(node.out.is_empty() && node.in_cross.is_empty());
-                node.id = id;
-                node.thread = thread;
-                node.kind = kind;
-                node.seq = seq;
-                node.finished = false;
-                node.final_len = 0;
-                node.in_count = 0;
-                slot
+    /// Inserts transaction `id`, unfinished, with the implicit edge from
+    /// its thread's previous transaction if that one is still live.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is [`TxId::NONE`] or not newer than its thread's newest
+    /// transaction.
+    pub fn insert(&mut self, id: TxId, kind: TxKind) {
+        let in_count = match self.windows.get_mut(id.pred().0) {
+            Some(pred) => {
+                debug_assert!(pred.finished, "{id:?} began before its predecessor ended");
+                debug_assert_eq!(pred.succ_at, NO_SUCC);
+                pred.succ_at = u32::try_from(pred.out.len()).expect("out-degree overflow");
+                1
             }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("slab overflow");
-                self.slab.push(TxNode {
-                    id,
-                    thread,
-                    kind,
-                    seq,
-                    finished: false,
-                    out: Vec::new(),
-                    out_dst: Vec::new(),
-                    in_cross: Vec::new(),
-                    log: Arc::clone(&self.empty_log),
-                    final_len: 0,
-                    in_count: 0,
-                });
-                slot
-            }
+            None => 0,
         };
-        let prev = self.index.insert(id, slot);
-        debug_assert!(prev.is_none(), "duplicate transaction id");
+        let node = self.windows.push(id.0);
+        node.kind = kind;
+        node.in_count = in_count;
     }
 
     /// Adds an edge. Self-edges are dropped (a transaction trivially
     /// depends on itself). Missing endpoints (already collected) are
     /// ignored — a collected source cannot be part of a future cycle.
     pub fn add_edge(&mut self, edge: Edge) {
-        if edge.src == edge.dst || !edge.src.is_some() || !edge.dst.is_some() {
+        if edge.src == edge.dst || !self.windows.contains(edge.dst.0) {
             return;
         }
-        let (Some(&src_slot), Some(&dst_slot)) =
-            (self.index.get(&edge.src), self.index.get(&edge.dst))
-        else {
+        let Some(src) = self.windows.get_mut(edge.src.0) else {
             return;
         };
-        let (src_thread, src_seq) = {
-            let src = &mut self.slab[src_slot as usize];
-            src.out.push(edge);
-            src.out_dst.push(dst_slot);
-            (src.thread, src.seq)
-        };
-        let dst = &mut self.slab[dst_slot as usize];
+        src.out.push(edge);
+        let dst = self.windows.get_mut(edge.dst.0).expect("dst is live");
         dst.in_count += 1;
         if edge.kind == EdgeKind::Cross {
             self.counters.cross_edges.fetch_add(1, Ordering::Relaxed);
@@ -337,36 +329,38 @@ impl Graph {
                 dst: edge.dst,
                 dst_pos: edge.dst_pos,
                 src: edge.src,
-                src_thread,
-                src_seq,
+                src_thread: edge.src.thread(),
+                src_seq: edge.src.seq(),
                 src_pos: edge.src_pos,
             });
         }
     }
 
-    /// Marks `id` finished and stores its final log. A finish naming an
-    /// unknown or already-finished transaction is a malformed op stream,
-    /// reported as a checked error rather than a panic.
-    pub fn finish(&mut self, id: TxId, log: Vec<LogEntry>) -> Result<(), FinishError> {
-        let Some(&slot) = self.index.get(&id) else {
+    /// Marks `id` finished and stores its final log. Returns an empty
+    /// buffer for the caller's next log: the one the node kept from its
+    /// previous occupant, so a warm finish allocates nothing. A finish
+    /// naming an unknown or already-finished transaction is a malformed op
+    /// stream, reported as a checked error rather than a panic.
+    pub fn finish(
+        &mut self,
+        id: TxId,
+        mut log: Vec<LogEntry>,
+    ) -> Result<Vec<LogEntry>, FinishError> {
+        let Some(node) = self.windows.get_mut(id.0) else {
             return Err(FinishError::UnknownTx(id));
         };
-        let node = &mut self.slab[slot as usize];
         if node.finished {
             return Err(FinishError::AlreadyFinished(id));
         }
         node.finished = true;
-        self.pacer.tick();
         node.final_len = u32::try_from(log.len()).expect("log too long");
-        // Share the one empty log instead of allocating an `Arc` per finish:
-        // with logging off (first run of multi-run mode) every finish takes
-        // this path, keeping the pipelined apply path allocation-free.
-        node.log = if log.is_empty() {
-            Arc::clone(&self.empty_log)
-        } else {
-            Arc::new(log)
-        };
-        Ok(())
+        match Arc::get_mut(&mut node.log) {
+            Some(kept) => std::mem::swap(kept, &mut log),
+            None => node.log = Arc::new(std::mem::take(&mut log)),
+        }
+        debug_assert!(log.is_empty(), "recycled logs are cleared");
+        self.pacer.tick();
+        Ok(log)
     }
 
     /// Computes the maximal SCC containing `root`, exploring finished
@@ -378,6 +372,22 @@ impl Graph {
         }
     }
 
+    /// The first finished out-neighbour of `v` at or after `cursor`, and
+    /// the cursor past it.
+    #[inline]
+    fn next_finished(&self, v: TxId, cursor: u32) -> (Option<TxId>, u32) {
+        let node = self.windows.get(v.0).expect("DFS frames hold live nodes");
+        let mut cur = cursor as usize;
+        while cur < node.degree() {
+            let w = node.neighbour(v, cur);
+            cur += 1;
+            if self.windows.get(w.0).is_some_and(|n| n.finished) {
+                return (Some(w), cur as u32);
+            }
+        }
+        (None, cur as u32)
+    }
+
     /// Like [`Graph::scc_from`], distinguishing "Tarjan skipped by the
     /// trivial pre-filter" from "Tarjan ran and found nothing" so callers
     /// can account for skipped traversals.
@@ -387,81 +397,60 @@ impl Graph {
     /// would have returned the root alone. (`in_count` may overcount after
     /// a collection, which only makes the filter more conservative.)
     pub fn scc_probe(&mut self, root: TxId) -> SccProbe {
-        let Some(&root_slot) = self.index.get(&root) else {
-            return SccProbe::Skipped;
-        };
-        {
-            let node = &self.slab[root_slot as usize];
-            if !node.finished || node.in_count == 0 || node.out.is_empty() {
-                return SccProbe::Skipped;
-            }
+        match self.windows.get(root.0) {
+            Some(n) if n.finished && n.in_count > 0 && n.has_out() => {}
+            _ => return SccProbe::Skipped,
         }
         // Iterative Tarjan restricted to finished nodes reachable from
-        // root, on epoch-stamped scratch (taken out of `self` so the slab
-        // and the scratch can be borrowed simultaneously).
-        let mut t = std::mem::take(&mut self.tarjan);
-        let epoch = t.begin(self.slab.len());
+        // root, with per-node state in the nodes under a fresh epoch.
+        let epoch = self.windows.next_epoch();
+        let mut t = std::mem::take(&mut self.scratch);
         debug_assert!(t.stack.is_empty() && t.frames.is_empty());
         t.component.clear();
         let mut next_index = 1u32;
-        t.stamp[root_slot as usize] = epoch;
-        t.index[root_slot as usize] = 0;
-        t.lowlink[root_slot as usize] = 0;
-        t.on_stack[root_slot as usize] = true;
-        t.stack.push(root_slot);
-        t.frames.push((root_slot, 0));
+        let r = self.windows.visit(root.0, epoch).expect("root is live");
+        (r.index, r.lowlink, r.on_stack) = (0, 0, true);
+        t.stack.push(root);
+        t.frames.push((root, 0));
 
         while let Some(&(v, cursor)) = t.frames.last() {
-            let vi = v as usize;
-            let next_child = {
-                let node = &self.slab[vi];
-                let mut cur = cursor as usize;
-                let mut found = None;
-                while cur < node.out_dst.len() {
-                    let w = node.out_dst[cur];
-                    cur += 1;
-                    if self.slab[w as usize].finished {
-                        found = Some(w);
-                        break;
-                    }
-                }
-                t.frames.last_mut().expect("frame exists").1 = cur as u32;
-                found
-            };
+            let (next_child, cursor) = self.next_finished(v, cursor);
+            t.frames.last_mut().expect("frame exists").1 = cursor;
             match next_child {
-                Some(w) => {
-                    let wi = w as usize;
-                    if t.stamp[wi] == epoch {
-                        if t.on_stack[wi] {
-                            let w_index = t.index[wi];
-                            t.lowlink[vi] = t.lowlink[vi].min(w_index);
-                        }
-                    } else {
-                        t.stamp[wi] = epoch;
-                        t.index[wi] = next_index;
-                        t.lowlink[wi] = next_index;
-                        t.on_stack[wi] = true;
+                Some(w) => match self.windows.visit(w.0, epoch) {
+                    Some(wn) => {
+                        (wn.index, wn.lowlink, wn.on_stack) = (next_index, next_index, true);
                         next_index += 1;
                         t.stack.push(w);
                         t.frames.push((w, 0));
                     }
-                }
+                    None => {
+                        // Already visited this traversal.
+                        let wn = self.windows.get(w.0).expect("child is live");
+                        if wn.on_stack {
+                            let w_index = wn.index;
+                            let vn = self.windows.get_mut(v.0).expect("frame is live");
+                            vn.lowlink = vn.lowlink.min(w_index);
+                        }
+                    }
+                },
                 None => {
                     t.frames.pop();
-                    let v_low = t.lowlink[vi];
+                    let vn = self.windows.get(v.0).expect("frame is live");
+                    let (v_low, v_index) = (vn.lowlink, vn.index);
                     if let Some(&(parent, _)) = t.frames.last() {
-                        let pi = parent as usize;
-                        t.lowlink[pi] = t.lowlink[pi].min(v_low);
+                        let pn = self.windows.get_mut(parent.0).expect("frame is live");
+                        pn.lowlink = pn.lowlink.min(v_low);
                     }
-                    if v_low == t.index[vi] {
+                    if v_low == v_index {
                         // Pop one SCC off the Tarjan stack. The root has
                         // visit index 0, so its SCC is headed by the root
-                        // itself and popped exactly at `v == root_slot`;
-                        // other components are discarded as they pop.
+                        // itself and popped exactly at `v == root`; other
+                        // components are discarded as they pop.
                         loop {
                             let w = t.stack.pop().expect("tarjan stack underflow");
-                            t.on_stack[w as usize] = false;
-                            if v == root_slot {
+                            self.windows.get_mut(w.0).expect("stacked").on_stack = false;
+                            if v == root {
                                 t.component.push(w);
                             }
                             if w == v {
@@ -475,14 +464,12 @@ impl Graph {
         debug_assert!(t.stack.is_empty(), "tarjan stack drained");
 
         if t.component.len() < 2 {
-            self.tarjan = t;
+            self.scratch = t;
             return SccProbe::NoCycle;
         }
         self.counters.scc_count.fetch_add(1, Ordering::Relaxed);
-        let component = std::mem::take(&mut t.component);
-        self.tarjan = t;
-        let report = self.snapshot_component(&component);
-        self.tarjan.component = component;
+        let report = self.snapshot_component(&t.component);
+        self.scratch = t;
         SccProbe::Cycle(report)
     }
 
@@ -490,29 +477,31 @@ impl Graph {
     /// the "PCD-only" variant of §5.4, where PCD processes every executed
     /// transaction rather than just ICD's SCCs.
     pub fn snapshot_all_finished(&mut self) -> SccReport {
-        let component: Vec<u32> = (0..self.slab.len() as u32)
-            .filter(|&i| {
-                let n = &self.slab[i as usize];
-                n.id.is_some() && n.finished
-            })
+        let component: Vec<TxId> = self
+            .windows
+            .iter()
+            .filter(|(_, n)| n.finished)
+            .map(|(id, _)| TxId(id))
             .collect();
         self.snapshot_component(&component)
     }
 
-    fn snapshot_component(&mut self, component: &[u32]) -> SccReport {
-        let epoch = self.mark.begin(self.slab.len());
-        for &i in component {
-            self.mark.stamp[i as usize] = epoch;
+    fn snapshot_component(&mut self, component: &[TxId]) -> SccReport {
+        let epoch = self.windows.next_epoch();
+        for &id in component {
+            self.windows.visit(id.0, epoch);
         }
+        let member =
+            |w: &Windows<TxNode>, id: TxId| w.get_stamped(id.0, epoch).is_some_and(|s| s.1);
         let mut txs: Vec<TxSnapshot> = component
             .iter()
-            .map(|&i| {
-                let n = &self.slab[i as usize];
+            .map(|&id| {
+                let n = self.windows.get(id.0).expect("member is live");
                 TxSnapshot {
-                    id: n.id,
-                    thread: n.thread,
+                    id,
+                    thread: id.thread(),
                     kind: n.kind,
-                    seq: n.seq,
+                    seq: id.seq(),
                     log: Arc::clone(&n.log),
                 }
             })
@@ -520,12 +509,24 @@ impl Graph {
         txs.sort_by_key(|t| (t.thread, t.seq));
         let mut edges = Vec::new();
         let mut constraints = Vec::new();
-        for &i in component {
-            let node = &self.slab[i as usize];
-            for (e, &d) in node.out.iter().zip(&node.out_dst) {
-                if self.mark.stamp[d as usize] == epoch {
-                    edges.push(*e);
+        for &id in component {
+            let node = self.windows.get(id.0).expect("member is live");
+            for i in 0..node.degree() {
+                let dst = node.neighbour(id, i);
+                if !member(&self.windows, dst) {
+                    continue;
                 }
+                edges.push(if i == node.succ_at as usize {
+                    Edge {
+                        src: id,
+                        src_pos: node.final_len,
+                        dst,
+                        dst_pos: 0,
+                        kind: EdgeKind::Intra,
+                    }
+                } else {
+                    node.out[i - usize::from(i > node.succ_at as usize)]
+                });
             }
             constraints.extend(node.in_cross.iter().copied());
         }
@@ -537,59 +538,55 @@ impl Graph {
     }
 
     /// Drops finished transactions unreachable from the roots via outgoing
-    /// edges (the JVM-reachability semantics the paper relies on), pushing
-    /// their slots onto the free list, and restarts the pacer from the
-    /// survivor count. Returns the number collected. The pass scans every
-    /// slab slot ([`Graph::slab_len`]).
+    /// edges (the JVM-reachability semantics the paper relies on), popping
+    /// them into the spare pool, and restarts the pacer from the survivor
+    /// count. Returns the number collected. Each thread's newest
+    /// transaction is a root too while it is unfinished (it is the thread's
+    /// current one).
+    ///
+    /// Reaching `(t, s)` reaches `(t, s + 1 ..)` through the implicit
+    /// successor edges, so marking only lowers each thread's reached
+    /// watermark, expanding every survivor's explicit out-edges once, and
+    /// the sweep pops everything below the watermark.
     pub fn collect(&mut self, roots: impl IntoIterator<Item = TxId>) -> usize {
-        // Forward BFS from the roots over out-edges. Unfinished transactions
-        // are roots too (each is some thread's current transaction). The
-        // mark set is the epoch-stamped scratch; the worklist is retained
-        // across passes — the mark phase allocates nothing in steady state.
-        let mut m = std::mem::take(&mut self.mark);
-        let epoch = m.begin(self.slab.len());
-        m.work.clear();
-        for r in roots {
-            if let Some(&slot) = self.index.get(&r) {
-                if m.stamp[slot as usize] != epoch {
-                    m.stamp[slot as usize] = epoch;
-                    m.work.push(slot);
+        let mut sc = std::mem::take(&mut self.scratch);
+        let threads = self.windows.threads();
+        sc.low.clear();
+        sc.work.clear();
+        for t in 0..threads {
+            let (base, len) = self.windows.span(t);
+            sc.low.push(base + len as u64);
+            if let Some(newest) = self.windows.newest(t) {
+                if self.windows.get(newest).is_some_and(|n| !n.finished) {
+                    sc.work.push(TxId(newest));
                 }
             }
         }
-        for (i, node) in self.slab.iter().enumerate() {
-            if node.id.is_some() && !node.finished && m.stamp[i] != epoch {
-                m.stamp[i] = epoch;
-                m.work.push(i as u32);
+        sc.work.extend(roots);
+        while let Some(r) = sc.work.pop() {
+            let t = r.thread().index();
+            if !self.windows.contains(r.0) || r.seq() >= sc.low[t] {
+                continue; // collected earlier, or already reached
             }
-        }
-        while let Some(slot) = m.work.pop() {
-            for &d in &self.slab[slot as usize].out_dst {
-                let di = d as usize;
-                if m.stamp[di] != epoch {
-                    m.stamp[di] = epoch;
-                    m.work.push(d);
+            let (lo, hi) = (r.seq(), sc.low[t]);
+            sc.low[t] = lo;
+            for seq in lo..hi {
+                let Some(n) = self.windows.get(TxId::new(r.thread(), seq).0) else {
+                    continue;
+                };
+                for e in &n.out {
+                    let d = e.dst;
+                    if sc.low.get(d.thread().index()).is_some_and(|&l| d.seq() < l) {
+                        sc.work.push(d);
+                    }
                 }
             }
         }
         let mut collected = 0;
-        for i in 0..self.slab.len() {
-            let node = &mut self.slab[i];
-            if node.id.is_some() && node.finished && m.stamp[i] != epoch {
-                self.index.remove(&node.id);
-                node.id = TxId::NONE;
-                node.finished = false;
-                node.out.clear();
-                node.out_dst.clear();
-                node.in_cross.clear();
-                node.log = Arc::clone(&self.empty_log);
-                node.final_len = 0;
-                node.in_count = 0;
-                self.free.push(i as u32);
-                collected += 1;
-            }
+        for t in 0..threads {
+            collected += self.windows.pop_below(t, sc.low[t]);
         }
-        self.mark = m;
+        self.scratch = sc;
         self.pacer.after_collect(self.len());
         collected
     }
@@ -598,12 +595,19 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_runtime::ids::{ObjId, ThreadId};
+
+    /// Transaction `i`: the first transaction of thread `i`, so tests of
+    /// cross edges see no implicit intra-thread edges.
+    fn tx(i: u64) -> TxId {
+        TxId::new(ThreadId(i as u16), 1)
+    }
 
     fn edge(src: u64, dst: u64) -> Edge {
         Edge {
-            src: TxId(src),
+            src: tx(src),
             src_pos: 0,
-            dst: TxId(dst),
+            dst: tx(dst),
             dst_pos: 0,
             kind: EdgeKind::Cross,
         }
@@ -612,14 +616,25 @@ mod tests {
     fn graph_with(n: u64) -> Graph {
         let mut g = Graph::new();
         for i in 1..=n {
-            g.insert(TxId(i), ThreadId((i % 4) as u16), TxKind::Unary, i);
+            g.insert(tx(i), TxKind::Unary);
         }
         g
     }
 
     fn finish_all(g: &mut Graph, n: u64) {
         for i in 1..=n {
-            g.finish(TxId(i), vec![]).unwrap();
+            g.finish(tx(i), vec![]).unwrap();
+        }
+    }
+
+    /// Runs thread `t`'s transactions `1..=n` one after another, each
+    /// finished before the next begins; the last stays unfinished.
+    fn thread_chain(g: &mut Graph, t: u16, n: u64) {
+        for seq in 1..=n {
+            if seq > 1 {
+                g.finish(TxId::new(ThreadId(t), seq - 1), vec![]).unwrap();
+            }
+            g.insert(TxId::new(ThreadId(t), seq), TxKind::Unary);
         }
     }
 
@@ -628,11 +643,11 @@ mod tests {
         let mut g = graph_with(2);
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
-        g.finish(TxId(1), vec![]).unwrap();
+        g.finish(tx(1), vec![]).unwrap();
         // Tx2 unfinished: no SCC yet.
-        assert!(g.scc_from(TxId(1)).is_none());
-        g.finish(TxId(2), vec![]).unwrap();
-        let scc = g.scc_from(TxId(2)).expect("cycle complete");
+        assert!(g.scc_from(tx(1)).is_none());
+        g.finish(tx(2), vec![]).unwrap();
+        let scc = g.scc_from(tx(2)).expect("cycle complete");
         assert_eq!(scc.len(), 2);
         assert_eq!(scc.edges.len(), 2);
         assert_eq!(g.scc_count(), 1);
@@ -642,8 +657,8 @@ mod tests {
     fn self_edges_are_dropped() {
         let mut g = graph_with(1);
         g.add_edge(edge(1, 1));
-        g.finish(TxId(1), vec![]).unwrap();
-        assert!(g.scc_from(TxId(1)).is_none());
+        g.finish(tx(1), vec![]).unwrap();
+        assert!(g.scc_from(tx(1)).is_none());
         assert_eq!(g.cross_edges(), 0);
     }
 
@@ -653,8 +668,8 @@ mod tests {
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 3));
         finish_all(&mut g, 3);
-        assert!(g.scc_from(TxId(3)).is_none());
-        assert!(g.scc_from(TxId(1)).is_none());
+        assert!(g.scc_from(tx(3)).is_none());
+        assert!(g.scc_from(tx(1)).is_none());
     }
 
     #[test]
@@ -665,7 +680,7 @@ mod tests {
             g.add_edge(edge(s, d));
         }
         finish_all(&mut g, 4);
-        let scc = g.scc_from(TxId(1)).unwrap();
+        let scc = g.scc_from(tx(1)).unwrap();
         assert_eq!(scc.len(), 4);
     }
 
@@ -675,14 +690,11 @@ mod tests {
         for (s, d) in [(1, 2), (2, 3), (3, 1)] {
             g.add_edge(edge(s, d));
         }
-        g.finish(TxId(1), vec![]).unwrap();
-        g.finish(TxId(2), vec![]).unwrap();
-        assert!(
-            g.scc_from(TxId(2)).is_none(),
-            "3 unfinished breaks the loop"
-        );
-        g.finish(TxId(3), vec![]).unwrap();
-        assert_eq!(g.scc_from(TxId(3)).unwrap().len(), 3);
+        g.finish(tx(1), vec![]).unwrap();
+        g.finish(tx(2), vec![]).unwrap();
+        assert!(g.scc_from(tx(2)).is_none(), "3 unfinished breaks the loop");
+        g.finish(tx(3), vec![]).unwrap();
+        assert_eq!(g.scc_from(tx(3)).unwrap().len(), 3);
     }
 
     #[test]
@@ -691,18 +703,100 @@ mod tests {
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
         g.add_edge(edge(2, 3)); // leaves the SCC
-        g.finish(
-            TxId(1),
-            vec![LogEntry::new(dc_runtime::ids::ObjId(9), 0, true, false)],
-        )
-        .unwrap();
-        g.finish(TxId(2), vec![]).unwrap();
-        g.finish(TxId(3), vec![]).unwrap();
-        let scc = g.scc_from(TxId(2)).unwrap();
+        g.finish(tx(1), vec![LogEntry::new(ObjId(9), 0, true, false)])
+            .unwrap();
+        g.finish(tx(2), vec![]).unwrap();
+        g.finish(tx(3), vec![]).unwrap();
+        let scc = g.scc_from(tx(2)).unwrap();
         assert_eq!(scc.len(), 2);
         assert_eq!(scc.edges.len(), 2, "edge 2→3 excluded");
-        let t1 = scc.txs.iter().find(|t| t.id == TxId(1)).unwrap();
+        let t1 = scc.txs.iter().find(|t| t.id == tx(1)).unwrap();
         assert_eq!(t1.log.len(), 1);
+    }
+
+    #[test]
+    fn intra_thread_edges_are_implicit_and_reported_in_place() {
+        // T0 runs a then b; T1 runs c. Cross c→a and b→c close a cycle
+        // through the implicit a→b edge.
+        let t0 = ThreadId(0);
+        let (a, b, c) = (TxId::new(t0, 1), TxId::new(t0, 2), tx(1));
+        let mut g = Graph::new();
+        g.insert(a, TxKind::Unary);
+        g.insert(c, TxKind::Unary);
+        let cross = |src, dst| Edge {
+            src,
+            src_pos: 1,
+            dst,
+            dst_pos: 0,
+            kind: EdgeKind::Cross,
+        };
+        g.add_edge(cross(c, a));
+        g.finish(a, vec![LogEntry::new(ObjId(1), 0, false, false)])
+            .unwrap();
+        g.insert(b, TxKind::Unary);
+        assert!(g.node(a).unwrap().out.is_empty(), "no stored intra edge");
+        g.add_edge(cross(b, c));
+        g.finish(b, vec![]).unwrap();
+        g.finish(c, vec![]).unwrap();
+        let scc = g.scc_from(c).expect("a → b → c → a");
+        assert_eq!(scc.len(), 3);
+        let intra: Vec<&Edge> = scc
+            .edges
+            .iter()
+            .filter(|e| e.kind == EdgeKind::Intra)
+            .collect();
+        assert_eq!(intra.len(), 1);
+        assert_eq!(
+            (
+                intra[0].src,
+                intra[0].src_pos,
+                intra[0].dst,
+                intra[0].dst_pos
+            ),
+            (a, 1, b, 0),
+            "src_pos is the predecessor's final log length"
+        );
+        // Only cross edges become replay constraints.
+        assert_eq!(scc.constraints.len(), 2);
+    }
+
+    #[test]
+    fn implicit_successor_keeps_its_creation_position() {
+        // Edges out of `a` before and after its successor began: reports
+        // list them in creation order, the intra edge between them.
+        let t0 = ThreadId(0);
+        let (a, b) = (TxId::new(t0, 1), TxId::new(t0, 2));
+        let (c, d) = (tx(1), tx(2));
+        let mut g = Graph::new();
+        for x in [a, c, d] {
+            g.insert(x, TxKind::Unary);
+        }
+        let cross = |src, dst| Edge {
+            src,
+            src_pos: 0,
+            dst,
+            dst_pos: 0,
+            kind: EdgeKind::Cross,
+        };
+        g.add_edge(cross(a, c));
+        g.finish(a, vec![]).unwrap();
+        g.insert(b, TxKind::Unary);
+        g.add_edge(cross(a, d));
+        g.add_edge(cross(b, c));
+        g.add_edge(cross(c, a));
+        g.add_edge(cross(d, a));
+        for x in [c, d, b] {
+            g.finish(x, vec![]).unwrap();
+        }
+        let scc = g.scc_from(a).expect("a, b, c and d form one SCC");
+        assert_eq!(scc.len(), 4);
+        let out_of_a: Vec<TxId> = scc
+            .edges
+            .iter()
+            .filter(|e| e.src == a)
+            .map(|e| e.dst)
+            .collect();
+        assert_eq!(out_of_a, vec![c, b, d], "creation order, b implicit");
     }
 
     #[test]
@@ -710,28 +804,57 @@ mod tests {
         let mut g = graph_with(4);
         // 2 is a root and points at 1; 3 is isolated; 4 is unfinished.
         g.add_edge(edge(2, 1));
-        g.finish(TxId(1), vec![]).unwrap();
-        g.finish(TxId(2), vec![]).unwrap();
-        g.finish(TxId(3), vec![]).unwrap();
-        let collected = g.collect([TxId(2)]);
+        g.finish(tx(1), vec![]).unwrap();
+        g.finish(tx(2), vec![]).unwrap();
+        g.finish(tx(3), vec![]).unwrap();
+        let collected = g.collect([tx(2)]);
         assert_eq!(collected, 1, "only Tx3 is collectable");
-        assert!(g.node(TxId(1)).is_some(), "root Tx2 reaches Tx1");
-        assert!(g.node(TxId(3)).is_none());
-        assert!(g.node(TxId(4)).is_some(), "unfinished is kept");
+        assert!(g.node(tx(1)).is_some(), "root Tx2 reaches Tx1");
+        assert!(g.node(tx(3)).is_none());
+        assert!(g.node(tx(4)).is_some(), "unfinished is kept");
         assert_eq!(g.len(), 3);
     }
 
     #[test]
-    fn collect_drops_old_intra_thread_chains() {
-        // 1→2→3 with 3 unfinished (current): 1 and 2 can never gain new
-        // incoming edges, so no future cycle can contain them — collected.
-        let mut g = graph_with(3);
-        g.add_edge(edge(1, 2));
-        g.add_edge(edge(2, 3));
-        g.finish(TxId(1), vec![]).unwrap();
-        g.finish(TxId(2), vec![]).unwrap();
-        assert_eq!(g.collect([TxId(3)]), 2);
+    fn collect_pops_each_threads_dead_prefix() {
+        // T0 runs 1..=5 (5 current); T1's only tx points at T0's 3. Rooting
+        // T1's tx keeps T0's 3..=5 — a suffix — and pops 1 and 2.
+        let mut g = Graph::new();
+        thread_chain(&mut g, 0, 3);
+        g.insert(tx(1), TxKind::Unary);
+        g.add_edge(Edge {
+            src: tx(1),
+            src_pos: 0,
+            dst: TxId::new(ThreadId(0), 3),
+            dst_pos: 0,
+            kind: EdgeKind::Cross,
+        });
+        g.finish(tx(1), vec![]).unwrap();
+        for seq in 4..=5 {
+            g.finish(TxId::new(ThreadId(0), seq - 1), vec![]).unwrap();
+            g.insert(TxId::new(ThreadId(0), seq), TxKind::Unary);
+        }
+        assert_eq!(g.window(0), (1, 5));
+        assert_eq!(g.collect([tx(1)]), 2);
+        assert_eq!(g.window(0), (3, 3), "survivors are a suffix");
+        assert_eq!(g.window(1), (1, 1));
+        // Without the root only the current transaction survives.
+        assert_eq!(g.collect([]), 3, "T0's 3 and 4, T1's tx");
+        assert_eq!(g.window(0), (5, 1));
+        assert_eq!(g.window(1), (2, 0));
         assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn collect_ignores_collected_and_unknown_roots() {
+        let mut g = Graph::new();
+        thread_chain(&mut g, 0, 3);
+        assert_eq!(g.collect([]), 2);
+        // A stale root below the window must not re-mark the survivors'
+        // predecessors (there are none) nor panic; unknown threads neither.
+        let stale = TxId::new(ThreadId(0), 1);
+        assert_eq!(g.collect([stale, tx(7), TxId::NONE]), 0);
+        assert_eq!(g.window(0), (3, 1));
     }
 
     #[test]
@@ -741,28 +864,28 @@ mod tests {
         let mut g = graph_with(2);
         g.add_edge(edge(2, 1));
         g.add_edge(edge(1, 2));
-        g.finish(TxId(1), vec![]).unwrap();
-        assert_eq!(g.collect([TxId(2)]), 0);
+        g.finish(tx(1), vec![]).unwrap();
+        assert_eq!(g.collect([tx(2)]), 0);
     }
 
     #[test]
     fn edges_to_collected_nodes_are_ignored() {
         let mut g = graph_with(2);
-        g.finish(TxId(1), vec![]).unwrap();
-        assert_eq!(g.collect([TxId(2)]), 1);
+        g.finish(tx(1), vec![]).unwrap();
+        assert_eq!(g.collect([tx(2)]), 1);
         // Adding an edge naming the collected node is a no-op.
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
-        assert_eq!(g.node(TxId(2)).unwrap().out.len(), 0);
+        assert_eq!(g.node(tx(2)).unwrap().out.len(), 0);
     }
 
     #[test]
     fn cross_edge_stat_counts_only_cross_edges() {
         let mut g = graph_with(2);
         g.add_edge(Edge {
-            src: TxId(1),
+            src: tx(1),
             src_pos: 0,
-            dst: TxId(2),
+            dst: tx(2),
             dst_pos: 0,
             kind: EdgeKind::Intra,
         });
@@ -778,82 +901,92 @@ mod tests {
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 3));
         finish_all(&mut g, 3);
-        assert!(matches!(g.scc_probe(TxId(1)), SccProbe::Skipped), "no in");
-        assert!(matches!(g.scc_probe(TxId(3)), SccProbe::Skipped), "no out");
+        assert!(matches!(g.scc_probe(tx(1)), SccProbe::Skipped), "no in");
+        assert!(matches!(g.scc_probe(tx(3)), SccProbe::Skipped), "no out");
         assert!(
-            matches!(g.scc_probe(TxId(2)), SccProbe::NoCycle),
+            matches!(g.scc_probe(tx(2)), SccProbe::NoCycle),
             "both ends present: Tarjan runs and finds nothing"
         );
         // Unknown / unfinished roots are also skips.
-        assert!(matches!(g.scc_probe(TxId(9)), SccProbe::Skipped));
+        assert!(matches!(g.scc_probe(tx(9)), SccProbe::Skipped));
     }
 
     #[test]
-    fn slab_slots_are_reused_after_collect_without_stale_state() {
+    fn pre_filter_counts_the_implicit_edges() {
+        // T0: 1 → 2 → 3, all finished: 2 has an implicit in- and out-edge,
+        // so Tarjan runs; 1 has no in-edge and 3 no out-edge.
+        let mut g = Graph::new();
+        thread_chain(&mut g, 0, 3);
+        g.finish(TxId::new(ThreadId(0), 3), vec![]).unwrap();
+        let at = |s| TxId::new(ThreadId(0), s);
+        assert!(matches!(g.scc_probe(at(1)), SccProbe::Skipped));
+        assert!(matches!(g.scc_probe(at(2)), SccProbe::NoCycle));
+        assert!(matches!(g.scc_probe(at(3)), SccProbe::Skipped));
+    }
+
+    #[test]
+    fn collected_nodes_are_reused_without_stale_state() {
         let mut g = graph_with(2);
         g.add_edge(edge(1, 2));
         g.add_edge(edge(2, 1));
-        finish_all(&mut g, 2);
-        let scc = g.scc_from(TxId(2)).expect("cycle");
+        g.finish(tx(1), vec![LogEntry::new(ObjId(3), 0, true, false)])
+            .unwrap();
+        g.finish(tx(2), vec![]).unwrap();
+        let scc = g.scc_from(tx(2)).expect("cycle");
         assert_eq!(scc.len(), 2);
-        let slab_before = g.slab_len();
-        // Neither tx is a root: both are collected, freeing both slots.
+        drop(scc);
+        // Neither tx is a root: both are collected into the spare pool.
         assert_eq!(g.collect([]), 2);
-        assert_eq!(g.free_slots(), 2);
         assert_eq!(g.len(), 0);
-        // Reinsert into the freed slots: ids differ, slots recycle.
-        g.insert(TxId(10), ThreadId(0), TxKind::Unary, 1);
-        g.insert(TxId(11), ThreadId(1), TxKind::Unary, 1);
-        assert_eq!(g.slab_len(), slab_before, "slots reused, slab not grown");
-        assert_eq!(g.free_slots(), 0);
-        // The recycled nodes carry no resurrected edges or logs…
-        assert_eq!(g.node(TxId(10)).unwrap().out.len(), 0);
-        assert_eq!(g.node(TxId(10)).unwrap().in_cross.len(), 0);
-        assert_eq!(g.node(TxId(10)).unwrap().log.len(), 0);
-        // …no stale Tarjan stamps (a fresh chain is not mistaken for the
-        // old cycle)…
-        g.add_edge(edge(10, 11));
-        g.finish(TxId(10), vec![]).unwrap();
-        g.finish(TxId(11), vec![]).unwrap();
-        assert!(g.scc_from(TxId(11)).is_none(), "no cycle among new txs");
-        // …and a fresh cycle in recycled slots is still detected.
-        g.add_edge(edge(11, 10));
-        let scc = g.scc_from(TxId(11)).expect("new cycle in reused slots");
-        assert_eq!(scc.len(), 2);
-        let ids: Vec<TxId> = scc.tx_ids().collect();
-        assert!(ids.contains(&TxId(10)) && ids.contains(&TxId(11)));
+        // Their threads' next transactions reuse the popped nodes…
+        let (n1, n2) = (TxId::new(ThreadId(1), 2), TxId::new(ThreadId(2), 2));
+        g.insert(n1, TxKind::Unary);
+        g.insert(n2, TxKind::Unary);
+        for n in [n1, n2] {
+            let node = g.node(n).unwrap();
+            assert!(node.out.is_empty() && node.in_cross.is_empty());
+            assert!(node.log.is_empty() && !node.finished);
+        }
+        // …with no implicit edge from the collected predecessors, and no
+        // stale traversal state: a fresh chain is not the old cycle…
+        g.add_edge(Edge {
+            dst: n2,
+            src: n1,
+            ..edge(1, 2)
+        });
+        g.finish(n1, vec![]).unwrap();
+        g.finish(n2, vec![]).unwrap();
+        assert!(g.scc_from(n2).is_none(), "no cycle among new txs");
+        assert!(matches!(g.scc_probe(n1), SccProbe::Skipped), "no in-edge");
+    }
+
+    #[test]
+    fn finish_hands_back_the_recycled_log_buffer() {
+        let mut g = Graph::new();
+        thread_chain(&mut g, 0, 1);
+        let log: Vec<LogEntry> = (0..16)
+            .map(|i| LogEntry::new(ObjId(i), 0, false, false))
+            .collect();
+        let spare = g.finish(TxId::new(ThreadId(0), 1), log).unwrap();
+        assert!(spare.is_empty());
+        g.insert(TxId::new(ThreadId(0), 2), TxKind::Unary);
+        assert_eq!(g.collect([]), 1);
+        // The next insert reuses the collected node; finishing it returns
+        // the first transaction's buffer, cleared but with its capacity.
+        g.finish(TxId::new(ThreadId(0), 2), vec![]).unwrap();
+        g.insert(TxId::new(ThreadId(0), 3), TxKind::Unary);
+        let spare = g.finish(TxId::new(ThreadId(0), 3), spare).unwrap();
+        assert!(spare.is_empty() && spare.capacity() >= 16);
     }
 
     #[test]
     fn malformed_finishes_are_checked_errors() {
         let mut g = graph_with(1);
+        assert_eq!(g.finish(tx(9), vec![]), Err(FinishError::UnknownTx(tx(9))));
+        g.finish(tx(1), vec![]).unwrap();
         assert_eq!(
-            g.finish(TxId(9), vec![]),
-            Err(FinishError::UnknownTx(TxId(9)))
+            g.finish(tx(1), vec![]),
+            Err(FinishError::AlreadyFinished(tx(1)))
         );
-        g.finish(TxId(1), vec![]).unwrap();
-        assert_eq!(
-            g.finish(TxId(1), vec![]),
-            Err(FinishError::AlreadyFinished(TxId(1)))
-        );
-    }
-
-    #[test]
-    fn scratch_epoch_wrap_resets_stamps() {
-        let mut g = graph_with(2);
-        g.add_edge(edge(1, 2));
-        g.add_edge(edge(2, 1));
-        finish_all(&mut g, 2);
-        // Force both scratch epochs to the wrap point; the next pass must
-        // clear stamps rather than alias epoch 0.
-        g.tarjan.epoch = u32::MAX;
-        g.mark.epoch = u32::MAX;
-        assert_eq!(g.scc_from(TxId(2)).expect("cycle").len(), 2);
-        assert_eq!(g.tarjan.epoch, 1, "tarjan epoch restarted after wrap");
-        assert!(g.scc_from(TxId(2)).is_some(), "stamps stay coherent");
-        assert_eq!(g.collect([TxId(1)]), 0, "cycle reachable from root");
-        // Mark epoch: wrap→1 (first snapshot), 2 (second snapshot), 3
-        // (collect pass).
-        assert_eq!(g.mark.epoch, 3, "mark epoch advanced past the wrap");
     }
 }

@@ -64,9 +64,9 @@ impl Default for IcdConfig {
 /// Aggregated run statistics (Table 3 columns).
 #[derive(Debug, Default)]
 pub struct IcdStats {
-    /// Regular (non-unary) transactions started.
+    /// Regular (non-unary) transactions started (folded in at thread end).
     pub regular_txs: AtomicU64,
-    /// Unary (merged) transactions started.
+    /// Unary (merged) transactions started (folded in at thread end).
     pub unary_txs: AtomicU64,
     /// Instrumented accesses inside regular transactions.
     pub regular_accesses: AtomicU64,
@@ -136,6 +136,8 @@ struct Local {
     /// Pipelined mode: ticketed graph ops buffered during the current hook,
     /// flushed as one batch before the hook returns.
     pending: Vec<(u64, GraphOp)>,
+    regular_txs: u64,
+    unary_txs: u64,
     regular_accesses: u64,
     unary_accesses: u64,
     log_entries: u64,
@@ -181,6 +183,8 @@ impl Slot {
                 kind: TxKind::Unary,
                 seq: 0,
                 pending: Vec::new(),
+                regular_txs: 0,
+                unary_txs: 0,
                 regular_accesses: 0,
                 unary_accesses: 0,
                 log_entries: 0,
@@ -200,7 +204,6 @@ pub struct Icd {
     /// Lock-free Table-3 counters shared with the graph (wherever it lives).
     counters: Arc<GraphCounters>,
     pipeline: Option<PipelineHandle>,
-    next_tx: AtomicU64,
     config: IcdConfig,
     stats: Arc<IcdStats>,
     obs: Option<Arc<PipelineObs>>,
@@ -279,7 +282,6 @@ impl Icd {
             graph: Mutex::new(graph),
             counters,
             pipeline,
-            next_tx: AtomicU64::new(1),
             config,
             stats,
             obs,
@@ -421,18 +423,15 @@ impl Icd {
         self.flush(t);
         // SAFETY: called on thread t.
         let local = unsafe { self.local(t) };
-        self.stats
-            .regular_accesses
-            .fetch_add(local.regular_accesses, Ordering::Relaxed);
-        self.stats
-            .unary_accesses
-            .fetch_add(local.unary_accesses, Ordering::Relaxed);
-        self.stats
-            .log_entries
-            .fetch_add(local.log_entries, Ordering::Relaxed);
-        local.regular_accesses = 0;
-        local.unary_accesses = 0;
-        local.log_entries = 0;
+        for (total, count) in [
+            (&self.stats.regular_txs, &mut local.regular_txs),
+            (&self.stats.unary_txs, &mut local.unary_txs),
+            (&self.stats.regular_accesses, &mut local.regular_accesses),
+            (&self.stats.unary_accesses, &mut local.unary_accesses),
+            (&self.stats.log_entries, &mut local.log_entries),
+        ] {
+            total.fetch_add(std::mem::take(count), Ordering::Relaxed);
+        }
         report
     }
 
@@ -459,49 +458,25 @@ impl Icd {
 
     fn begin_tx(&self, t: ThreadId, kind: TxKind) -> Option<SccReport> {
         let regs = &self.regs.threads[t.index()];
-        let id = TxId(self.next_tx.fetch_add(1, Ordering::Relaxed));
         // SAFETY: called on thread t.
         let local = unsafe { self.local(t) };
         local.seq += 1;
+        let id = TxId::new(t, local.seq);
         local.kind = kind;
         local.bump_epoch();
         local.seen_edge_events = regs.edge_events.load(Ordering::Acquire);
         debug_assert!(local.log.is_empty(), "log must be drained at tx end");
         match kind {
-            TxKind::Regular(_) => {
-                self.stats.regular_txs.fetch_add(1, Ordering::Relaxed);
-            }
-            TxKind::Unary => {
-                self.stats.unary_txs.fetch_add(1, Ordering::Relaxed);
-            }
+            TxKind::Regular(_) => local.regular_txs += 1,
+            TxKind::Unary => local.unary_txs += 1,
         }
-        let prev = TxId(regs.current_tx.load(Ordering::Acquire));
+        // The graph links `id` to its predecessor `id.pred()` implicitly.
         if let Some(p) = &self.pipeline {
             let ticket = p.ticket();
-            local.pending.push((
-                ticket,
-                GraphOp::Insert {
-                    id,
-                    thread: t,
-                    kind,
-                    seq: local.seq,
-                    prev,
-                },
-            ));
+            local.pending.push((ticket, GraphOp::Insert { id, kind }));
         } else {
             self.observe_sync_op();
-            let mut graph = self.lock_graph();
-            graph.insert(id, t, kind, local.seq);
-            if prev.is_some() {
-                let src_pos = graph.node(prev).map_or(0, |n| n.final_len);
-                graph.add_edge(Edge {
-                    src: prev,
-                    src_pos,
-                    dst: id,
-                    dst_pos: 0,
-                    kind: EdgeKind::Intra,
-                });
-            }
+            self.lock_graph().insert(id, kind);
         }
         regs.log_len.store(0, Ordering::Release);
         regs.current_tx.store(id.0, Ordering::Release);
@@ -532,8 +507,9 @@ impl Icd {
         self.observe_sync_op();
         let mut graph = self.lock_graph();
         // Sync mode runs in-process with the hooks, so a malformed finish
-        // here is a checker bug, not a recoverable op-stream failure.
-        graph.finish(id, log).expect("finishing unknown tx");
+        // here is a checker bug, not a recoverable op-stream failure. The
+        // graph hands back a recycled buffer for the next transaction's log.
+        local.log = graph.finish(id, log).expect("finishing unknown tx");
         let report = if self.config.detect_sccs {
             let t0 = self.obs.as_ref().and_then(|o| o.clock());
             let probe = graph.scc_probe(id);
@@ -917,7 +893,7 @@ impl Icd {
     /// statically (the `gLastRdSh` register).
     fn any_src_pos(&self, graph: &Graph, tx: TxId) -> u32 {
         match graph.node(tx) {
-            Some(node) => self.edge_src_pos(graph, node.thread, tx),
+            Some(_) => self.edge_src_pos(graph, tx.thread(), tx),
             None => 0,
         }
     }
@@ -945,6 +921,9 @@ mod tests {
         let icd = icd(2);
         assert!(icd.current_tx(T0).is_some());
         assert_ne!(icd.current_tx(T0), icd.current_tx(T1));
+        assert_eq!(icd.current_tx(T1), TxId::new(T1, 1));
+        icd.thread_end(T0);
+        icd.thread_end(T1);
         assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 2);
     }
 
@@ -957,7 +936,13 @@ mod tests {
         assert_ne!(unary, reg);
         icd.end_regular(T0);
         let unary2 = icd.current_tx(T0);
-        assert_ne!(reg, unary2);
+        assert_eq!(
+            [unary, reg, unary2],
+            [1, 2, 3].map(|seq| TxId::new(T0, seq)),
+            "ids follow the thread's sequence numbers"
+        );
+        assert_eq!(icd.stats().regular_txs.load(Ordering::Relaxed), 0);
+        icd.thread_end(T0);
         assert_eq!(icd.stats().regular_txs.load(Ordering::Relaxed), 1);
         assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 2);
     }
@@ -970,7 +955,7 @@ mod tests {
         icd.record_access(T0, O, 0, true, false, false); // write after read: logged
         icd.record_access(T0, O, 0, false, false, false); // read after write: elided
         icd.record_access(T0, O, 1, false, false, false); // different cell: logged
-        assert_eq!(icd.stats().unary_txs.load(Ordering::Relaxed), 1);
+        assert_eq!(unsafe { icd.local(T0) }.unary_txs, 1, "no cut");
         // Log length published: 3 entries.
         assert_eq!(icd.regs.threads[0].log_len.load(Ordering::Relaxed), 3);
     }

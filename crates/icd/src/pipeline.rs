@@ -51,7 +51,6 @@ use crate::icd::{IcdConfig, IcdStats, Registers};
 use crate::ring::OpRing;
 use crate::types::{Edge, EdgeKind, LogEntry, SccReport, TxId, TxKind};
 use dc_obs::{EventKind, PipelineObs, Stage};
-use dc_runtime::ids::ThreadId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -135,9 +134,9 @@ impl std::fmt::Display for PipelineError {
                 already_finished,
             } => {
                 if *already_finished {
-                    write!(f, "transaction {} finished twice", id.0)
+                    write!(f, "transaction {id:?} finished twice")
                 } else {
-                    write!(f, "finish for unknown transaction {}", id.0)
+                    write!(f, "finish for unknown transaction {id:?}")
                 }
             }
         }
@@ -169,15 +168,9 @@ pub(crate) type PosSnapshot = Box<[(u64, u32)]>;
 /// One linearized graph mutation, in application-thread creation order.
 #[derive(Debug)]
 pub(crate) enum GraphOp {
-    /// A transaction begins: node insertion plus the program-order edge
-    /// from the thread's previous transaction.
-    Insert {
-        id: TxId,
-        thread: ThreadId,
-        kind: TxKind,
-        seq: u64,
-        prev: TxId,
-    },
+    /// A transaction begins: node insertion (the program-order edge from
+    /// `id.pred()` is implicit).
+    Insert { id: TxId, kind: TxKind },
     /// A transaction ends with its final read/write log; triggers SCC
     /// detection and (periodically) the collector on the owner.
     Finish { id: TxId, log: Vec<LogEntry> },
@@ -630,26 +623,10 @@ fn apply(
     op: GraphOp,
 ) -> Result<(), PipelineError> {
     match op {
-        GraphOp::Insert {
-            id,
-            thread,
-            kind,
-            seq,
-            prev,
-        } => {
-            graph.insert(id, thread, kind, seq);
-            if prev.is_some() {
-                let src_pos = graph.node(prev).map_or(0, |n| n.final_len);
-                graph.add_edge(Edge {
-                    src: prev,
-                    src_pos,
-                    dst: id,
-                    dst_pos: 0,
-                    kind: EdgeKind::Intra,
-                });
-            }
-        }
+        GraphOp::Insert { id, kind } => graph.insert(id, kind),
         GraphOp::Finish { id, log } => {
+            // The recycled buffer finish hands back belongs to no app
+            // thread here; dropping it frees it.
             graph.finish(id, log)?;
             if config.detect_sccs {
                 let t0 = obs.and_then(|o| o.clock());
@@ -741,15 +718,15 @@ fn apply(
 /// collected — the edge would be dropped anyway.
 fn resolve_src_pos(graph: &Graph, snap: &PosSnapshot, tx: TxId) -> Option<u32> {
     let node = graph.node(tx)?;
+    let thread = tx.thread().index();
     // `pos_snapshot` walks the full register file, so every live node's
     // thread is covered; a short snapshot would silently compare `current`
     // against 0 and use a stale `final_len` for a still-live source.
     debug_assert!(
-        node.thread.index() < snap.len(),
-        "pos snapshot shorter than thread index {}",
-        node.thread.index()
+        thread < snap.len(),
+        "pos snapshot shorter than thread index {thread}"
     );
-    let Some(&(current, len)) = snap.get(node.thread.index()) else {
+    let Some(&(current, len)) = snap.get(thread) else {
         return Some(node.final_len);
     };
     Some(if current == tx.0 { len } else { node.final_len })
@@ -782,10 +759,9 @@ fn run_collect(
     }
     for op in reorder.iter() {
         match *op {
-            GraphOp::Insert { id, prev, .. } => {
-                roots.push(id);
-                roots.push(prev);
-            }
+            // The insert will link `id` to its predecessor, so the
+            // predecessor must survive until it applies.
+            GraphOp::Insert { id, .. } => roots.push(id.pred()),
             GraphOp::Finish { id, .. } => roots.push(id),
             GraphOp::Cross { src, dst, .. } => {
                 roots.push(src);
@@ -805,7 +781,7 @@ fn run_collect(
 
 /// One collector pass from `roots` plus `gLastRdSh`, shared by every graph
 /// holder (the synchronous path under its mutex and the owner).
-/// Counts the pass and the slab slots it scanned into `stats`.
+/// Counts the pass and the window slots it swept into `stats`.
 pub(crate) fn collect_pass(
     graph: &mut Graph,
     roots: impl IntoIterator<Item = TxId>,
@@ -813,7 +789,7 @@ pub(crate) fn collect_pass(
     obs: Option<&PipelineObs>,
 ) {
     let t_obs = obs.and_then(|o| o.clock());
-    let scanned = graph.slab_len();
+    let scanned = graph.window_slots();
     let g_last_rd_sh = graph.g_last_rd_sh;
     let collected = graph.collect(roots.into_iter().chain([g_last_rd_sh]));
     stats
@@ -833,6 +809,7 @@ pub(crate) fn collect_pass(
 mod tests {
     use super::*;
     use crate::icd::ThreadRegs;
+    use dc_runtime::ids::ThreadId;
 
     fn test_regs(n: usize) -> Arc<Registers> {
         Arc::new(Registers {
@@ -842,9 +819,9 @@ mod tests {
 
     fn op() -> GraphOp {
         GraphOp::Cross {
-            src: TxId(1),
+            src: TxId::new(ThreadId(0), 1),
             src_pos: 0,
-            dst: TxId(2),
+            dst: TxId::new(ThreadId(1), 1),
             dst_pos: 0,
         }
     }
@@ -954,15 +931,13 @@ mod tests {
         );
         // Finish for a transaction that was never inserted: the owner used
         // to panic (poisoning the join), now it drains and reports.
-        h.send_one(GraphOp::Finish {
-            id: TxId(42),
-            log: vec![],
-        });
+        let id = TxId::new(ThreadId(0), 42);
+        h.send_one(GraphOp::Finish { id, log: vec![] });
         let slot = Mutex::new(Graph::default());
         assert_eq!(
             h.shutdown_into(&slot),
             Some(PipelineError::MalformedFinish {
-                id: TxId(42),
+                id,
                 already_finished: false,
             })
         );

@@ -1,10 +1,13 @@
 //! Transaction, log, and graph edge types shared with PCD.
 
 use dc_runtime::ids::{CellId, ObjId, ThreadId, SYNC_CELL};
+use dc_runtime::window;
 use std::fmt;
 use std::sync::Arc;
 
-/// A dynamic transaction id, unique within a run. `TxId(0)` is reserved as
+/// A dynamic transaction id, unique within a run: the executing thread and
+/// its per-thread sequence number (from 1), packed as `(seq << 16) |
+/// thread` by [`dc_runtime::window::pack`]. `TxId(0)` is reserved as
 /// "none".
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxId(pub u64);
@@ -13,16 +16,49 @@ impl TxId {
     /// The reserved "no transaction" value.
     pub const NONE: TxId = TxId(0);
 
+    /// Transaction `seq` (≥ 1) of `thread`.
+    #[inline]
+    pub fn new(thread: ThreadId, seq: u64) -> Self {
+        TxId(window::pack(thread, seq))
+    }
+
     /// True unless this is [`TxId::NONE`].
     #[inline]
     pub fn is_some(self) -> bool {
         self.0 != 0
     }
+
+    /// The executing thread.
+    #[inline]
+    pub fn thread(self) -> ThreadId {
+        window::thread_of(self.0)
+    }
+
+    /// The per-thread sequence number.
+    #[inline]
+    pub fn seq(self) -> u64 {
+        window::seq_of(self.0)
+    }
+
+    /// The thread's previous transaction ([`TxId::NONE`] for its first).
+    #[inline]
+    pub fn pred(self) -> TxId {
+        match self.seq() {
+            0 | 1 => TxId::NONE,
+            s => TxId::new(self.thread(), s - 1),
+        }
+    }
+
+    /// The thread's next transaction.
+    #[inline]
+    pub fn succ(self) -> TxId {
+        TxId(self.0 + (1 << 16))
+    }
 }
 
 impl fmt::Debug for TxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tx{}", self.0)
+        write!(f, "Tx{}@{}", self.seq(), self.thread().0)
     }
 }
 
@@ -219,8 +255,13 @@ mod tests {
     #[test]
     fn txid_none_is_not_some() {
         assert!(!TxId::NONE.is_some());
-        assert!(TxId(1).is_some());
-        assert_eq!(format!("{:?}", TxId(7)), "Tx7");
+        let t = TxId::new(ThreadId(3), 7);
+        assert!(t.is_some());
+        assert_eq!((t.thread(), t.seq()), (ThreadId(3), 7));
+        assert_eq!(format!("{t:?}"), "Tx7@3");
+        assert_eq!(t.pred(), TxId::new(ThreadId(3), 6));
+        assert_eq!(t.succ(), TxId::new(ThreadId(3), 8));
+        assert_eq!(TxId::new(ThreadId(3), 1).pred(), TxId::NONE);
     }
 
     #[test]
@@ -268,10 +309,10 @@ mod tests {
     fn scc_report_accessors() {
         let report = SccReport {
             txs: vec![TxSnapshot {
-                id: TxId(1),
+                id: TxId::new(ThreadId(0), 1),
                 thread: ThreadId(0),
                 kind: TxKind::Unary,
-                seq: 0,
+                seq: 1,
                 log: Arc::new(vec![]),
             }],
             edges: vec![],
@@ -279,6 +320,9 @@ mod tests {
         };
         assert_eq!(report.len(), 1);
         assert!(!report.is_empty());
-        assert_eq!(report.tx_ids().collect::<Vec<_>>(), vec![TxId(1)]);
+        assert_eq!(
+            report.tx_ids().collect::<Vec<_>>(),
+            vec![TxId::new(ThreadId(0), 1)]
+        );
     }
 }

@@ -1,10 +1,12 @@
-//! Steady-state allocation freedom: once the slab and the epoch-stamped
-//! scratch arrays are warm, cycle probes that find no cycle and collector
-//! runs that reclaim nothing must not touch the heap at all. (A probe that
+//! Steady-state allocation freedom: once the transaction windows, their
+//! spare pool and the traversal buffers are warm, cycle probes that find no
+//! cycle and collector runs must not touch the heap at all. (A probe that
 //! *does* find a cycle necessarily allocates its `SccReport`.) The same
-//! holds for the whole pipelined enqueue→apply path: pooled batches over
-//! the fixed-capacity ring, the reorder scoreboard, and the graph-owner
-//! apply loop.
+//! holds for a whole synchronous transaction round — insert, implicit
+//! intra-thread edge, cross edge, finish, probe, and a paced collection
+//! that reclaims — and for the whole pipelined enqueue→apply path: pooled
+//! batches over the fixed-capacity ring, the reorder scoreboard, and the
+//! graph-owner apply loop.
 
 use dc_icd::graph::Graph;
 use dc_icd::{Edge, EdgeKind, Icd, IcdConfig, PipelineMode, TxId, TxKind};
@@ -60,21 +62,21 @@ fn global_allocations() -> u64 {
     GLOBAL_ALLOCS.load(Ordering::Relaxed)
 }
 
-fn cross(src: u64, dst: u64) -> Edge {
+fn cross(src: TxId, dst: TxId) -> Edge {
     Edge {
-        src: TxId(src),
+        src,
         src_pos: 0,
-        dst: TxId(dst),
+        dst,
         dst_pos: 0,
         kind: EdgeKind::Cross,
     }
 }
 
-/// One round of pipelined work: two threads each run a regular transaction,
-/// with one cross-thread coordination event between them. Every hook flushes
-/// through the op ring; both transactions finish, so the collector keeps the
-/// graph bounded.
-fn pipelined_round(icd: &Icd, t0: ThreadId, t1: ThreadId) {
+/// One round of work: two threads each run a regular transaction,
+/// with one cross-thread coordination event between them. In pipelined
+/// mode every hook flushes through the op ring. Both transactions finish,
+/// so the collector keeps the graph bounded.
+fn round(icd: &Icd, t0: ThreadId, t1: ThreadId) {
     icd.begin_regular(t0, MethodId(0));
     icd.begin_regular(t1, MethodId(1));
     icd.handle_conflicting(t0, t1);
@@ -116,7 +118,7 @@ fn warm_pipelined_enqueue_apply_path_does_not_allocate() {
     // Warm-up: fill the batch pool, size the ring/reorder/slab/scratch, and
     // reach the collector's steady state.
     for _ in 0..512 {
-        pipelined_round(&icd, t0, t1);
+        round(&icd, t0, t1);
     }
     await_drain(&obs);
 
@@ -127,7 +129,7 @@ fn warm_pipelined_enqueue_apply_path_does_not_allocate() {
     for _ in 0..3 {
         let before = global_allocations();
         for _ in 0..256 {
-            pipelined_round(&icd, t0, t1);
+            round(&icd, t0, t1);
         }
         await_drain(&obs);
         best = best.min(global_allocations() - before);
@@ -146,33 +148,86 @@ fn warm_pipelined_enqueue_apply_path_does_not_allocate() {
 }
 
 #[test]
+fn warm_sync_round_does_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Synchronous mode: the hooks mutate the graph on this thread, so the
+    // thread-local count sees every allocation. Logging off (the first-run
+    // configuration) keeps the logs empty.
+    let icd = Icd::new(
+        2,
+        IcdConfig {
+            logging: false,
+            collect_every: 8,
+            ..IcdConfig::default()
+        },
+    );
+    let (t0, t1) = (ThreadId(0), ThreadId(1));
+    icd.thread_begin(t0);
+    icd.thread_begin(t1);
+    // Warm-up: grow the windows, the spare pool and the traversal buffers
+    // to their steady-state sizes.
+    for _ in 0..512 {
+        round(&icd, t0, t1);
+    }
+    let collected = icd.stats().collected_txs.load(Ordering::Relaxed);
+    let before = allocations();
+    for _ in 0..256 {
+        round(&icd, t0, t1);
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "a warm synchronous transaction round must be allocation-free"
+    );
+    assert!(
+        icd.stats().collected_txs.load(Ordering::Relaxed) > collected,
+        "the measured rounds include collector passes that reclaim"
+    );
+    icd.thread_end(t0);
+    icd.thread_end(t1);
+}
+
+#[test]
 fn warm_scc_probe_and_collect_do_not_allocate() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let n = 64u64;
-    let mut g = Graph::new();
-    for i in 1..=n {
-        g.insert(TxId(i), ThreadId((i % 4) as u16), TxKind::Unary, i);
-    }
-    // A long chain: every interior node has both an incoming and an
+    // Two threads of 32 transactions each, chained by their implicit
+    // program-order edges, plus a cross edge from each T0 transaction to
+    // its T1 peer: every interior node has both an incoming and an
     // outgoing edge, so probes run full Tarjan traversals (not the trivial
     // pre-filter) yet never find a cycle.
-    for i in 1..n {
-        g.add_edge(cross(i, i + 1));
+    let n = 32u64;
+    let at = |t: u16, seq: u64| TxId::new(ThreadId(t), seq);
+    let mut g = Graph::new();
+    for seq in 1..=n {
+        for t in 0..2 {
+            if seq > 1 {
+                g.finish(at(t, seq - 1), vec![]).unwrap();
+            }
+            g.insert(at(t, seq), TxKind::Unary);
+        }
+        g.add_edge(cross(at(0, seq), at(1, seq)));
     }
-    for i in 1..=n {
-        g.finish(TxId(i), vec![]).unwrap();
-    }
+    g.finish(at(0, n), vec![]).unwrap();
+    g.finish(at(1, n), vec![]).unwrap();
 
-    // Warm-up: size the stamp arrays, DFS stack, and mark scratch.
-    for i in 1..=n {
-        assert!(g.scc_from(TxId(i)).is_none(), "a chain has no cycle");
+    // Warm-up: size the DFS stack and the collector's buffers.
+    for seq in 1..=n {
+        for t in 0..2 {
+            assert!(g.scc_from(at(t, seq)).is_none(), "no cycle");
+        }
     }
-    g.collect([TxId(1)]); // everything reachable from the chain head survives
+    assert_eq!(
+        g.collect([at(0, 1)]),
+        0,
+        "the first transaction reaches all"
+    );
 
     let before = allocations();
     for _ in 0..100 {
-        for i in 1..=n {
-            g.scc_from(TxId(i));
+        for seq in 1..=n {
+            for t in 0..2 {
+                g.scc_from(at(t, seq));
+            }
         }
     }
     assert_eq!(
@@ -183,7 +238,7 @@ fn warm_scc_probe_and_collect_do_not_allocate() {
 
     let before = allocations();
     for _ in 0..100 {
-        g.collect([TxId(1)]);
+        g.collect([at(0, 1)]);
     }
     assert_eq!(
         allocations(),

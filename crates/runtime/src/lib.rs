@@ -15,8 +15,9 @@
 //!   the paper's worked examples),
 //! * [`spec::AtomicitySpec`] and [`spec::TxTracker`] — atomicity
 //!   specifications and transaction demarcation shared by all checkers,
-//! * [`pacer::CollectPacer`] — the adaptive collector cadence every
-//!   checker's transaction graph shares.
+//! * [`pacer::CollectPacer`] and [`window::Windows`] — the adaptive
+//!   collector cadence and the hash-free per-thread transaction store
+//!   every checker's transaction graph shares.
 //!
 //! # Example
 //!
@@ -49,6 +50,7 @@ pub mod pacer;
 pub mod program;
 pub mod spec;
 pub mod trace;
+pub mod window;
 
 pub use checker::{Checker, NopChecker};
 pub use engine::det::{run_det, DetError, Schedule};

@@ -11,10 +11,12 @@
 use crate::store::{Link, TxStore};
 use dc_runtime::ids::{MethodId, ThreadId};
 use dc_runtime::spec::TxKind;
+use dc_runtime::window;
 use std::fmt;
 
 /// A Velodrome transaction id: per-thread sequence number packed with the
-/// thread id, so the owning thread is recoverable without a lookup.
+/// thread id ([`dc_runtime::window::pack`]), so the owning thread is
+/// recoverable without a lookup.
 /// `VTxId(0)` means "none".
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VTxId(pub u64);
@@ -25,8 +27,7 @@ impl VTxId {
 
     /// Packs a (thread, sequence) pair; `seq` must be ≥ 1.
     pub fn new(thread: ThreadId, seq: u64) -> Self {
-        debug_assert!(seq >= 1);
-        VTxId((seq << 16) | u64::from(thread.0))
+        VTxId(window::pack(thread, seq))
     }
 
     /// True unless this is [`VTxId::NONE`].
@@ -38,13 +39,13 @@ impl VTxId {
     /// The owning thread.
     #[inline]
     pub fn thread(self) -> ThreadId {
-        ThreadId(self.0 as u16)
+        window::thread_of(self.0)
     }
 }
 
 impl fmt::Debug for VTxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "VTx{}@{}", self.0 >> 16, self.0 & 0xffff)
+        write!(f, "VTx{}@{}", window::seq_of(self.0), self.thread().0)
     }
 }
 

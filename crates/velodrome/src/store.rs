@@ -1,41 +1,21 @@
-//! Dense, hash-free transaction storage shared by Velodrome's dependence
-//! graph ([`crate::VGraph`]) and AeroDrome's clock graph.
+//! Velodrome's and AeroDrome's transaction store: the shared per-thread
+//! [`Windows`] plus what both checkers' graphs need identically.
 //!
-//! A [`VTxId`] already packs its thread and per-thread sequence number, and
-//! each thread's transactions begin in sequence order. So the store keeps
-//! one *window* per thread: a ring buffer of nodes plus the sequence number
-//! of its first slot. A lookup is two index computations, never a hash.
-//!
-//! The collector keeps exactly the forward closure of its roots. Every
-//! transaction has an edge to its thread's next one, so whatever survives a
-//! pass is a suffix of each thread's window (up to the thread's newest
-//! transaction, which is always a root). The sweep turns unmarked nodes
-//! into dead slots and pops each window's dead prefix; a dead slot between
-//! live ones (only possible with hand-picked roots, or when a caller skips
-//! sequence numbers) stays as a hole until the prefix before it dies. Popped
-//! nodes go to a spare pool with their edge vectors and payloads, so a warm
-//! begin, edge, cycle search or collector pass allocates nothing.
-//!
-//! Marking and cycle search share one epoch-stamped visit mark per node and
-//! one retained stack: a node is visited when its stamp equals the current
-//! epoch, so starting a traversal is one counter bump. When the counter
-//! wraps, every stamp is cleared once.
-//!
-//! Besides storage, the store owns what both graphs need identically: the
-//! edge bookkeeping for blame (each node's first in/out edge order), the
-//! cycle search that reconstructs a violation, the blame rule, and the
-//! collector with its adaptive [`CollectPacer`].
+//! A [`VTxId`] packs its thread and per-thread sequence number the way
+//! [`dc_runtime::window::pack`] does, so a lookup is a window index, never
+//! a hash. On top of the windows the store keeps the edge bookkeeping for
+//! blame (each node's first in/out edge order), the cycle search that
+//! reconstructs a violation, the blame rule, and the collector with its
+//! adaptive [`CollectPacer`]. Intra-thread edges are explicit out-edges
+//! here (AeroDrome propagates clocks along them), so the collector marks
+//! with the windows' epoch stamps and sweeps every slot.
 
 use crate::graph::{VTxId, VViolation};
-use dc_runtime::ids::{MethodId, ThreadId};
+use dc_runtime::ids::MethodId;
 use dc_runtime::pacer::CollectPacer;
 use dc_runtime::spec::TxKind;
-use std::collections::VecDeque;
+use dc_runtime::window::{Recycle, Windows};
 use std::fmt;
-
-fn seq_of(id: VTxId) -> u64 {
-    id.0 >> 16
-}
 
 /// One transaction in a [`TxStore`]: the graph fields both checkers share
 /// plus a checker-specific payload.
@@ -51,8 +31,6 @@ pub struct TxNode<X> {
     /// Orders of this node's earliest outgoing/incoming cross edges.
     first_out: Option<u32>,
     first_in: Option<u32>,
-    live: bool,
-    stamp: u32,
     parent: VTxId,
 }
 
@@ -63,18 +41,27 @@ impl<X> TxNode<X> {
     }
 }
 
-impl<X: Default> TxNode<X> {
-    fn dead() -> Self {
+impl<X: Default> Default for TxNode<X> {
+    fn default() -> Self {
         TxNode {
             kind: TxKind::Unary,
+            extra: X::default(),
             out: Vec::new(),
             first_out: None,
             first_in: None,
-            extra: X::default(),
-            live: false,
-            stamp: 0,
             parent: VTxId::NONE,
         }
+    }
+}
+
+impl<X: Default> Recycle for TxNode<X> {
+    /// Drops edges and blame orders; the payload stays for the next
+    /// occupant to overwrite (AeroDrome reuses the clock slice).
+    fn recycle(&mut self) {
+        self.out.clear();
+        self.first_out = None;
+        self.first_in = None;
+        self.parent = VTxId::NONE;
     }
 }
 
@@ -90,21 +77,10 @@ pub enum Link {
     Ignored,
 }
 
-/// One thread's transactions: `nodes[i]` holds sequence number `base + i`.
-#[derive(Debug)]
-struct Window<X> {
-    base: u64,
-    nodes: VecDeque<TxNode<X>>,
-}
-
-/// Per-thread windows of transaction nodes (see the module docs).
+/// Per-thread windows of transaction nodes with blame bookkeeping, cycle
+/// search and a paced collector (see the module docs).
 pub struct TxStore<X> {
-    windows: Vec<Window<X>>,
-    /// Nodes popped by the sweep, reused by [`TxStore::begin`] with their
-    /// edge-vector capacity and payload.
-    spare: Vec<TxNode<X>>,
-    live: usize,
-    epoch: u32,
+    windows: Windows<TxNode<X>>,
     /// Mark and search stack, retained across calls.
     stack: Vec<VTxId>,
     next_order: u32,
@@ -116,8 +92,7 @@ pub struct TxStore<X> {
 impl<X> fmt::Debug for TxStore<X> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TxStore")
-            .field("live", &self.live)
-            .field("threads", &self.windows.len())
+            .field("windows", &self.windows)
             .finish()
     }
 }
@@ -133,10 +108,7 @@ impl<X: Default> TxStore<X> {
     /// `max(every, survivors / 2)` begins (0 disables pacing).
     pub fn new(every: u32) -> Self {
         TxStore {
-            windows: Vec::new(),
-            spare: Vec::new(),
-            live: 0,
-            epoch: 0,
+            windows: Windows::new(),
             stack: Vec::new(),
             next_order: 0,
             pacer: CollectPacer::new(every),
@@ -147,57 +119,29 @@ impl<X: Default> TxStore<X> {
 
     /// Live transaction count.
     pub fn len(&self) -> usize {
-        self.live
+        self.windows.len()
     }
 
     /// True if no transaction is live.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Window position of `id` if it names a slot (live or dead).
-    #[inline]
-    fn locate(&self, id: VTxId) -> Option<(usize, usize)> {
-        if !id.is_some() {
-            return None;
-        }
-        let t = id.thread().index();
-        let w = self.windows.get(t)?;
-        let off = seq_of(id).checked_sub(w.base)?;
-        let off = usize::try_from(off).ok()?;
-        (off < w.nodes.len()).then_some((t, off))
+        self.windows.is_empty()
     }
 
     /// The live node `id`, if any.
     #[inline]
     pub fn get(&self, id: VTxId) -> Option<&TxNode<X>> {
-        let (t, off) = self.locate(id)?;
-        let n = &self.windows[t].nodes[off];
-        n.live.then_some(n)
+        self.windows.get(id.0)
     }
 
     /// The live node `id`, mutably.
     #[inline]
     pub fn get_mut(&mut self, id: VTxId) -> Option<&mut TxNode<X>> {
-        let (t, off) = self.locate(id)?;
-        let n = &mut self.windows[t].nodes[off];
-        n.live.then_some(n)
+        self.windows.get_mut(id.0)
     }
 
     /// True if `id` is live.
     pub fn contains(&self, id: VTxId) -> bool {
-        self.get(id).is_some()
-    }
-
-    fn fresh_node(&mut self) -> TxNode<X> {
-        let mut n = self.spare.pop().unwrap_or_else(TxNode::dead);
-        n.out.clear();
-        n.first_out = None;
-        n.first_in = None;
-        n.live = false;
-        n.stamp = 0;
-        n.parent = VTxId::NONE;
-        n
+        self.windows.contains(id.0)
     }
 
     /// Registers transaction `id`, adds the intra-thread edge from the
@@ -214,34 +158,12 @@ impl<X: Default> TxStore<X> {
     /// transaction.
     pub fn begin(&mut self, id: VTxId, kind: TxKind, prev: VTxId) -> &mut TxNode<X> {
         assert!(id.is_some(), "VTxId::NONE names no transaction");
-        let t = id.thread().index();
-        let seq = seq_of(id);
-        if self.windows.len() <= t {
-            self.windows.resize_with(t + 1, || Window {
-                base: 0,
-                nodes: VecDeque::new(),
-            });
-        }
-        if self.windows[t].nodes.is_empty() {
-            self.windows[t].base = seq;
-        }
-        let w = &self.windows[t];
-        let next = w.base + w.nodes.len() as u64;
-        assert!(seq >= next, "{id:?} is not newer than its thread's newest");
-        for _ in next..seq {
-            let hole = self.fresh_node();
-            self.windows[t].nodes.push_back(hole);
-        }
-        let mut node = self.fresh_node();
-        node.kind = kind;
-        node.live = true;
-        self.windows[t].nodes.push_back(node);
-        self.live += 1;
+        self.windows.push(id.0).kind = kind;
         self.pacer.tick();
         if let Some(p) = self.get_mut(prev) {
             p.out.push(id);
         }
-        self.windows[t].nodes.back_mut().expect("just pushed")
+        self.get_mut(id).expect("just pushed")
     }
 
     /// Records the cross edge `src → dst` for blame and cycle search.
@@ -276,26 +198,13 @@ impl<X: Default> TxStore<X> {
         Link::Added
     }
 
-    /// Starts a traversal: a fresh epoch, so no node counts as visited.
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            for n in self.windows.iter_mut().flat_map(|w| w.nodes.iter_mut()) {
-                n.stamp = 0;
-            }
-            self.epoch = 1;
-        }
-        self.epoch
-    }
-
     /// Path `dst … src` closing the cycle through edge `src → dst`, found by
     /// depth-first search from `dst` over live out-edges in insertion order.
     pub fn find_cycle(&mut self, src: VTxId, dst: VTxId) -> Option<Vec<VTxId>> {
-        let epoch = self.next_epoch();
+        let epoch = self.windows.next_epoch();
         let mut stack = std::mem::take(&mut self.stack);
         stack.clear();
-        if let Some(d) = self.get_mut(dst) {
-            d.stamp = epoch;
+        if self.windows.visit(dst.0, epoch).is_some() {
             stack.push(dst);
         }
         let mut found = false;
@@ -306,12 +215,9 @@ impl<X: Default> TxStore<X> {
             }
             let out = std::mem::take(&mut self.get_mut(v).expect("pushed live").out);
             for &w in &out {
-                if let Some(n) = self.get_mut(w) {
-                    if n.stamp != epoch {
-                        n.stamp = epoch;
-                        n.parent = v;
-                        stack.push(w);
-                    }
+                if let Some(n) = self.windows.visit(w.0, epoch) {
+                    n.parent = v;
+                    stack.push(w);
                 }
             }
             self.get_mut(v).expect("pushed live").out = out;
@@ -382,14 +288,12 @@ impl<X: Default> TxStore<X> {
     /// published after the begin) leaves no window in which a just-begun
     /// transaction is missed. Returns the number collected.
     pub fn collect(&mut self) -> usize {
-        let epoch = self.next_epoch();
+        let epoch = self.windows.next_epoch();
         let mut stack = std::mem::take(&mut self.stack);
         stack.clear();
-        for t in 0..self.windows.len() {
-            let w = &self.windows[t];
-            if !w.nodes.is_empty() {
-                let seq = w.base + w.nodes.len() as u64 - 1;
-                self.mark(VTxId::new(ThreadId(t as u16), seq), epoch, &mut stack);
+        for t in 0..self.windows.threads() {
+            if let Some(newest) = self.windows.newest(t) {
+                self.mark(VTxId(newest), epoch, &mut stack);
             }
         }
         self.mark_and_sweep(stack, epoch)
@@ -398,7 +302,7 @@ impl<X: Default> TxStore<X> {
     /// [`TxStore::collect`] from hand-picked roots, which can leave holes.
     #[cfg(test)]
     fn collect_from(&mut self, roots: impl IntoIterator<Item = VTxId>) -> usize {
-        let epoch = self.next_epoch();
+        let epoch = self.windows.next_epoch();
         let mut stack = std::mem::take(&mut self.stack);
         stack.clear();
         for r in roots {
@@ -410,11 +314,8 @@ impl<X: Default> TxStore<X> {
     /// Stamps `id` with `epoch` and queues it, unless it is not live or
     /// already stamped.
     fn mark(&mut self, id: VTxId, epoch: u32, stack: &mut Vec<VTxId>) {
-        if let Some(n) = self.get_mut(id) {
-            if n.stamp != epoch {
-                n.stamp = epoch;
-                stack.push(id);
-            }
+        if self.windows.visit(id.0, epoch).is_some() {
+            stack.push(id);
         }
     }
 
@@ -427,24 +328,8 @@ impl<X: Default> TxStore<X> {
             self.get_mut(v).expect("marked live").out = out;
         }
         self.stack = stack;
-        let mut collected = 0;
-        let mut scanned = 0;
-        for w in &mut self.windows {
-            scanned += w.nodes.len();
-            for n in w.nodes.iter_mut() {
-                if n.live && n.stamp != epoch {
-                    n.live = false;
-                    n.out.clear();
-                    collected += 1;
-                }
-            }
-            while w.nodes.front().is_some_and(|n| !n.live) {
-                self.spare.push(w.nodes.pop_front().expect("front exists"));
-                w.base += 1;
-            }
-        }
-        self.live -= collected;
-        self.pacer.after_collect(self.live);
+        let (collected, scanned) = self.windows.sweep_unstamped(epoch);
+        self.pacer.after_collect(self.windows.len());
         self.collect_passes += 1;
         self.collect_scanned += scanned as u64;
         collected
@@ -452,13 +337,14 @@ impl<X: Default> TxStore<X> {
 
     #[cfg(test)]
     fn window_len(&self, t: usize) -> usize {
-        self.windows.get(t).map_or(0, |w| w.nodes.len())
+        self.windows.span(t).1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_runtime::ids::ThreadId;
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
@@ -556,40 +442,6 @@ mod tests {
         assert!(s.contains(id(T1, 2)));
         assert!(!s.contains(id(T1, 1)), "base moved past the popped prefix");
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn mark_survives_epoch_wrap() {
-        let mut s: TxStore<u32> = TxStore::new(0);
-        chain(&mut s, T0, 3);
-        // The first pass stamps the whole chain with epoch 1.
-        assert_eq!(s.collect_from([id(T0, 1)]), 0);
-        assert_eq!(s.epoch, 1);
-        // Run the counter to the wrap: the next epoch is 1 again, so the
-        // wrap must clear the stale stamps or the old chain reads marked.
-        s.epoch = u32::MAX;
-        s.begin(id(T0, 4), TxKind::Unary, VTxId::NONE);
-        assert_eq!(s.collect_from([id(T0, 4)]), 3, "the old chain is unmarked");
-        assert_eq!(s.epoch, 1);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn search_survives_epoch_wrap() {
-        let mut s: TxStore<u32> = TxStore::new(0);
-        chain(&mut s, T0, 2);
-        chain(&mut s, T1, 1);
-        s.begin(id(ThreadId(2), 1), TxKind::Unary, VTxId::NONE);
-        assert_eq!(s.link(id(T1, 1), id(T0, 1)), Link::Added);
-        // A failed search at epoch 1 stamps T1's 1 and T0's 1 and 2.
-        assert_eq!(s.find_cycle(id(ThreadId(2), 1), id(T1, 1)), None);
-        assert_eq!(s.epoch, 1);
-        assert_eq!(s.link(id(T0, 2), id(T1, 1)), Link::Added);
-        // The epoch wraps back to 1: stale stamps must not hide the path.
-        s.epoch = u32::MAX;
-        let cycle = s.find_cycle(id(T0, 2), id(T1, 1)).expect("cycle");
-        assert_eq!(s.epoch, 1);
-        assert_eq!(cycle, vec![id(T1, 1), id(T0, 1), id(T0, 2)]);
     }
 
     #[test]
